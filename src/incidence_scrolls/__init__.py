@@ -16,21 +16,10 @@ from .bases import (
     separate,
 )
 from .closed_forms import ClosedFormRecord, TableRow, p1s, p2s, p3s, table
-from .grassmann import (
-    CycleSum,
-    GrassmannSpec,
-    SchubertIndex,
-    codimension,
-    coefficient_of,
-    intersection_number,
-    multiply_sum,
-    pieri_multiply,
-    product_of_specials,
-    render,
-    w,
-)
+from .grassmann import intersection_number, product_of_specials, render
 from .invariants import (
     DegenerationNode,
+    InvariantError,
     ScrollReport,
     UnresolvedDegenerationError,
     classify,
@@ -43,13 +32,11 @@ from .invariants import (
 )
 
 __all__ = [
-    "CycleSum", "GrassmannSpec", "SchubertIndex", "codimension",
-    "coefficient_of", "intersection_number", "multiply_sum", "pieri_multiply",
-    "product_of_specials", "render", "w",
+    "intersection_number", "product_of_specials", "render",
     "EmptyIncidenceError", "IncidenceBase", "JoinResult", "canonicalize",
     "conditions_count", "enumerate_bases", "format_base", "is_nondegenerate",
     "join", "parse_base", "restrict_to_span", "satisfies_is", "separate",
-    "DegenerationNode", "ScrollReport", "UnresolvedDegenerationError",
+    "DegenerationNode", "InvariantError", "ScrollReport", "UnresolvedDegenerationError",
     "classify", "degeneration_tree", "degree", "directrix_degree", "genus",
     "kappa", "speciality",
     "ClosedFormRecord", "TableRow", "p1s", "p2s", "p3s", "table",

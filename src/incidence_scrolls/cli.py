@@ -1,7 +1,10 @@
-"""Command-line interface: enumeration, classification, tables, raw products.
+"""Command-line interface: enumeration, classification, tables, and raw
+products of special Schubert classes on the Grassmannian of lines G(1,n).
 
-Exit codes: 0 success, 2 invalid input, 3 engine gave up on a degeneration
-(not observed on any known base).
+Exit codes: 0 success, 2 invalid input or an unreadable or unwritable cache
+file, 3 engine gave up on a degeneration (not observed on any known base),
+4 a cross-check of the engine's results failed, such as the ring degree
+against the degeneration tree (not observed either).
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from pathlib import Path
 
 from . import closed_forms
 from .bases import IncidenceBase, enumerate_bases, format_base, satisfies_is
-from .grassmann import GrassmannSpec, point_class_index, product_of_specials, render
+from .grassmann import product_of_specials, render
 from .invariants import (
+    InvariantError,
     ScrollReport,
     UnresolvedDegenerationError,
     classify,
@@ -68,24 +72,33 @@ REPORT_COLUMNS = ["base", "span", "degree", "genus", "h1", "special", "directrix
 
 def _load_cache(path: Path) -> dict[str, tuple[int, int]]:
     entries: dict[str, tuple[int, int]] = {}
-    if not path.exists():
+    try:
+        lines = path.read_text().splitlines()
+    except FileNotFoundError:
         return entries
-    lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read cache file {path}: {exc.strerror}") from exc
     if not lines or lines[0] != CACHE_HEADER:
         raise ValueError(f"unrecognized cache file {path}")
     for line in lines[1:]:
         if not line.strip():
             continue
-        fields = dict(part.split("=", 1) for part in line.split())
-        key = f"n={fields['n']} dims={fields['dims']}"
-        entries[key] = (int(fields["degree"]), int(fields["genus"]))
+        try:
+            fields = dict(part.split("=", 1) for part in line.split())
+            key = f"n={fields['n']} dims={fields['dims']}"
+            entries[key] = (int(fields["degree"]), int(fields["genus"]))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"malformed cache line {line!r} in {path}") from exc
     return entries
 
 
 def _save_cache(path: Path, entries: dict[str, tuple[int, int]]) -> None:
     lines = [CACHE_HEADER]
     lines += [f"{key} degree={d} genus={g}" for key, (d, g) in sorted(entries.items())]
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write cache file {path}: {exc.strerror}") from exc
 
 
 def _with_cache(reports: list[ScrollReport], cache_path: str | None) -> None:
@@ -215,17 +228,17 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_product(args: argparse.Namespace) -> int:
     l, n = _parse_dims(args.grassmann)
-    spec = GrassmannSpec(l, n)
-    result = product_of_specials(spec, _parse_dims(args.specials))
+    if l != 1:
+        raise ValueError(
+            f"products of special cycles are exposed for lines only, got l={l}")
+    result = product_of_specials(n, _parse_dims(args.specials))
     text = render(result)
     if args.format == "json":
         print(json.dumps({"grassmann": [l, n], "product": text}))
     else:
         print(text)
-        point = result.coefficient(point_class_index(spec))
-        if not result.is_zero() and result.items()[0][0] == point_class_index(spec) \
-                and len(result.items()) == 1:
-            print(point)
+        if list(result) == [(0, 1)]:
+            print(result[(0, 1)])
     return 0
 
 
@@ -266,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_product = sub.add_parser("product", help="multiply special Schubert cycles")
-    p_product.add_argument("--grassmann", required=True, help="l,n e.g. 1,5")
+    p_product.add_argument("--grassmann", required=True,
+                           help="1,n for lines in P^n, e.g. 1,5")
     p_product.add_argument("--specials", required=True,
                            help="comma-separated special parameters")
     add_common(p_product)
@@ -282,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnresolvedDegenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,226 +1,55 @@
-"""Exact Schubert-calculus arithmetic in the cohomology of Grassmannians.
+"""Products of special Schubert classes on the Grassmannian G(1, n) of lines.
 
-Classes of Schubert varieties are indexed by strictly increasing integer
-sequences (a_0, ..., a_l) with a_l <= n.  Products with special cycles are
-expanded by Pieri's rule; all coefficients are exact Python integers.
+A Schubert class of G(1, n) is w(a0, a1) with 0 <= a0 < a1 <= n: the lines
+meeting a fixed P^a0 and lying in a P^a1 through it.  Its dimension is
+a0 + a1 - 1; the fundamental class is w(n-1, n) and the point class w(0, 1).
+The special class of parameter h, the lines meeting a fixed P^h, is w(h, n)
+of codimension n - 1 - h.  All coefficients are exact Python integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 
-@dataclass(frozen=True)
-class GrassmannSpec:
-    """The Grassmannian G(l, n) of l-planes in projective n-space."""
+def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]:
+    """Product of the special classes of parameters hs, as {(a0, a1): coeff}.
 
-    l: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.l < self.n:
-            raise ValueError(f"need 0 <= l < n, got l={self.l}, n={self.n}")
-
-    @property
-    def dim(self) -> int:
-        return (self.l + 1) * (self.n - self.l)
-
-
-@dataclass(frozen=True, order=True)
-class SchubertIndex:
-    """Basis element w(a_0, ..., a_l), a strictly increasing sequence."""
-
-    a: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.a:
-            raise ValueError("empty Schubert index")
-        if self.a[0] < 0 or any(x >= y for x, y in zip(self.a, self.a[1:])):
-            raise ValueError(f"index must be strictly increasing and >= 0: {self.a}")
-
-    @property
-    def l(self) -> int:
-        return len(self.a) - 1
-
-    def dimension(self) -> int:
-        l = self.l
-        return sum(self.a) - l * (l + 1) // 2
-
-
-def w(*a: int) -> SchubertIndex:
-    """Shorthand constructor for a Schubert index."""
-    return SchubertIndex(tuple(a))
-
-
-def validate_index(spec: GrassmannSpec, index: SchubertIndex) -> None:
-    if index.l != spec.l:
-        raise ValueError(f"index {index.a} has l={index.l}, spec has l={spec.l}")
-    if index.a[-1] > spec.n:
-        raise ValueError(f"index {index.a} exceeds n={spec.n}")
-
-
-def index_codimension(spec: GrassmannSpec, index: SchubertIndex) -> int:
-    validate_index(spec, index)
-    return spec.dim - index.dimension()
-
-
-def fundamental_class_index(spec: GrassmannSpec) -> SchubertIndex:
-    """Index of the class of the whole Grassmannian, w(n-l, ..., n)."""
-    return SchubertIndex(tuple(range(spec.n - spec.l, spec.n + 1)))
-
-
-def point_class_index(spec: GrassmannSpec) -> SchubertIndex:
-    """Index of the class of a point, w(0, ..., l)."""
-    return SchubertIndex(tuple(range(spec.l + 1)))
-
-
-def codimension(spec: GrassmannSpec, r: int) -> int:
-    """Codimension of the cycle of lines meeting a fixed P^r in G(1, n)."""
-    if spec.l != 1:
-        raise ValueError("special-cycle codimension is exposed for lines only")
-    if not 0 <= r <= spec.n - 1:
-        raise ValueError(f"need 0 <= r <= n-1, got r={r}, n={spec.n}")
-    return spec.n - 1 - r
-
-
-class CycleSum:
-    """A homogeneous integer combination of Schubert indices of one G(l, n).
-
-    Zero coefficients are never stored; all indices share one dimension.
-    Instances are immutable.
+    Folds Pieri's rule from the fundamental class: w(a0, a1) times the
+    special class of h is the sum of w(b0, b1) over 0 <= b0 <= a0 < b1 <= a1
+    with b0 + b1 = a0 + a1 - (n - 1 - h).  Zero coefficients are never stored.
     """
-
-    __slots__ = ("spec", "_terms")
-
-    def __init__(self, spec: GrassmannSpec,
-                 terms: Mapping[SchubertIndex, int] | None = None) -> None:
-        clean: dict[SchubertIndex, int] = {}
-        dim = None
-        for index, coeff in (terms or {}).items():
-            validate_index(spec, index)
-            if coeff == 0:
-                continue
-            if dim is None:
-                dim = index.dimension()
-            elif index.dimension() != dim:
-                raise ValueError("mixed-dimension cycle sum")
-            clean[index] = coeff
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CycleSum is immutable")
-
-    @classmethod
-    def zero(cls, spec: GrassmannSpec) -> "CycleSum":
-        return cls(spec)
-
-    @classmethod
-    def of(cls, spec: GrassmannSpec, index: SchubertIndex, coeff: int = 1) -> "CycleSum":
-        return cls(spec, {index: coeff})
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self) -> list[tuple[SchubertIndex, int]]:
-        """Terms in canonical (lexicographic) order."""
-        return sorted(self._terms.items())
-
-    def coefficient(self, index: SchubertIndex) -> int:
-        return self._terms.get(index, 0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycleSum):
-            return NotImplemented
-        return self.spec == other.spec and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.spec, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"CycleSum({self.spec.l},{self.spec.n}; {render(self)})"
-
-
-def render(cycle_sum: CycleSum) -> str:
-    """Canonical text form, e.g. "9*w(0,1)" or "1*w(0,3) + 1*w(1,2)"."""
-    if cycle_sum.is_zero():
-        return "0"
-    parts = [f"{coeff}*w({','.join(map(str, index.a))})"
-             for index, coeff in cycle_sum.items()]
-    return " + ".join(parts)
-
-
-def coefficient_of(cycle_sum: CycleSum, index: SchubertIndex) -> int:
-    return cycle_sum.coefficient(index)
-
-
-def _pieri_sequences(a: tuple[int, ...], drop: int) -> Iterator[tuple[int, ...]]:
-    """All (b_0, ..., b_l) with 0 <= b_0 <= a_0 < b_1 <= a_1 < ... <= a_l
-    and sum(b) = sum(a) - drop."""
-    target = sum(a) - drop
-    length = len(a)
-
-    def rec(i: int, acc: int) -> Iterator[tuple[int, ...]]:
-        if i == length:
-            if acc == target:
-                yield ()
-            return
-        lo = 0 if i == 0 else a[i - 1] + 1
-        for b in range(lo, a[i] + 1):
-            if acc + b > target:
-                break
-            for rest in rec(i + 1, acc + b):
-                yield (b,) + rest
-
-    return rec(0, 0)
-
-
-def pieri_multiply(spec: GrassmannSpec, index: SchubertIndex, h: int) -> CycleSum:
-    """Product of w(a_0,...,a_l) with the special cycle of parameter h.
-
-    The result is the multiplicity-free sum over all sequences b with
-    b_0 <= a_0 < b_1 <= a_1 < ... < b_l <= a_l and
-    sum(b) = sum(a) - (n - l - h).  May be zero.
-    """
-    validate_index(spec, index)
-    if not 0 <= h <= spec.n - spec.l:
-        raise ValueError(f"need 0 <= h <= n-l, got h={h} for {spec}")
-    drop = spec.n - spec.l - h
-    terms = {SchubertIndex(b): 1 for b in _pieri_sequences(index.a, drop)}
-    return CycleSum(spec, terms)
-
-
-def multiply_sum(spec: GrassmannSpec, cycle_sum: CycleSum, h: int) -> CycleSum:
-    """Linear extension of pieri_multiply to a cycle sum."""
-    if cycle_sum.spec != spec:
-        raise ValueError("cycle sum belongs to a different Grassmannian")
-    out: dict[SchubertIndex, int] = {}
-    for index, coeff in cycle_sum.items():
-        for b_index, one in pieri_multiply(spec, index, h).items():
-            out[b_index] = out.get(b_index, 0) + coeff * one
-    return CycleSum(spec, out)
-
-
-def product_of_specials(spec: GrassmannSpec, hs: Iterable[int]) -> CycleSum:
-    """Product of special cycles, folded from the fundamental class."""
-    if spec.l != 1:
-        raise ValueError("products of special cycles are exposed for lines only")
-    for h in hs:
-        if not 0 <= h <= spec.n - 2:
-            raise ValueError(f"special parameter {h} out of range [0, {spec.n - 2}]")
-    acc = CycleSum.of(spec, fundamental_class_index(spec))
-    for h in hs:
-        acc = multiply_sum(spec, acc, h)
-    return acc
-
-
-def intersection_number(spec: GrassmannSpec, hs: Iterable[int]) -> int:
-    """Coefficient of the point class in a zero-dimensional product."""
     hs = list(hs)
-    total = sum(codimension(spec, h) for h in hs)
-    if total != spec.dim:
+    if n < 2:
+        raise ValueError(f"need n >= 2 for G(1, n), got n={n}")
+    for h in hs:
+        if not 0 <= h <= n - 2:
+            raise ValueError(f"special parameter {h} out of range [0, {n - 2}]")
+    terms = {(n - 1, n): 1}
+    for h in hs:
+        out: dict[tuple[int, int], int] = {}
+        for (a0, a1), coeff in terms.items():
+            s = a0 + a1 - (n - 1 - h)
+            for b0 in range(max(0, s - a1), min(a0, s - a0 - 1) + 1):
+                key = (b0, s - b0)
+                out[key] = out.get(key, 0) + coeff
+        terms = out
+    return terms
+
+
+def intersection_number(n: int, hs: Iterable[int]) -> int:
+    """Coefficient of the point class w(0, 1) in a zero-dimensional product."""
+    hs = list(hs)
+    total = sum(n - 1 - h for h in hs)
+    if total != 2 * (n - 1):
         raise ValueError(
-            f"total codimension {total} != dim G(1,{spec.n}) = {spec.dim}")
-    product = product_of_specials(spec, hs)
-    return product.coefficient(point_class_index(spec))
+            f"total codimension {total} != dim G(1,{n}) = {2 * (n - 1)}")
+    return product_of_specials(n, hs).get((0, 1), 0)
+
+
+def render(terms: dict[tuple[int, int], int]) -> str:
+    """Canonical text form, e.g. "9*w(0,1)" or "1*w(0,3) + 1*w(1,2)"."""
+    if not terms:
+        return "0"
+    return " + ".join(f"{coeff}*w({a0},{a1})"
+                      for (a0, a1), coeff in sorted(terms.items()))

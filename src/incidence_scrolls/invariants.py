@@ -22,13 +22,19 @@ from .bases import (
     restrict_to_span,
     satisfies_is,
 )
-from .grassmann import GrassmannSpec, SchubertIndex, intersection_number, product_of_specials
-
-PENCIL_CLASS = SchubertIndex((0, 2))
+from .grassmann import intersection_number
 
 
 class UnresolvedDegenerationError(RuntimeError):
     """No admissible pair was found while degenerating a base (never observed)."""
+
+
+class InvariantError(RuntimeError):
+    """A computed number breaks a cross-check the theory guarantees (never observed).
+
+    The ring degree must equal the degree of the degeneration tree, kappa
+    must be positive, and a join with m = 0 must share exactly one generator.
+    """
 
 
 def _require_is(base: IncidenceBase) -> None:
@@ -39,16 +45,17 @@ def _require_is(base: IncidenceBase) -> None:
 
 
 def degree(base: IncidenceBase) -> int:
-    """Degree of the scroll: coefficient of w(0,2) in the base's cycle product.
+    """Degree of the scroll: the number of its generators meeting a hyperplane.
 
-    Valid for degenerate configurations as well; the product does not care
-    where the scroll actually spans.
+    The base's cycle product is a multiple of the pencil class w(0,2), the
+    only class of dimension 1; one more hyperplane condition takes it to the
+    same multiple of the point class.  Valid for degenerate configurations
+    as well; the product does not care where the scroll actually spans.
     """
     base = canonicalize(base)
     _require_is(base)
-    spec = GrassmannSpec(1, base.ambient)
-    product = product_of_specials(spec, base.dims)
-    return product.coefficient(PENCIL_CLASS)
+    n = base.ambient
+    return intersection_number(n, base.dims + (n - 2,))
 
 
 def kappa(base: IncidenceBase, i: int, j: int) -> int:
@@ -67,9 +74,9 @@ def kappa(base: IncidenceBase, i: int, j: int) -> int:
     others = [d for k, d in enumerate(base.dims) if k not in (i, j)]
     if any(d == 0 for d in others):
         raise ValueError("cannot compute kappa with a point outside the pair")
-    value = intersection_number(GrassmannSpec(1, n - 1),
-                                [m] + [d - 1 for d in others])
-    assert value >= 1, f"kappa must be positive, got {value}"
+    value = intersection_number(n - 1, [m] + [d - 1 for d in others])
+    if value < 1:
+        raise InvariantError(f"kappa must be positive, got {value}")
     return value
 
 
@@ -154,8 +161,8 @@ def degeneration_tree(base: IncidenceBase,
         di, dj = base.dims[i], base.dims[j]
         result = join(base, i, j)
         shared = kappa(base, i, j)
-        if result.m == 0:
-            assert shared == 1, f"m=0 join must share one generator, got {shared}"
+        if result.m == 0 and shared != 1:
+            raise InvariantError(f"m=0 join must share one generator, got {shared}")
         dot = degeneration_tree(result.dot)
         ddot = degeneration_tree(result.ddot)
         node = DegenerationNode(base=base, action="join",
@@ -187,7 +194,7 @@ def directrix_degree(base: IncidenceBase, which: int) -> int:
         raise ValueError("a point carries no directrix curve")
     hs = list(base.dims)
     hs[which] = a - 1
-    return intersection_number(GrassmannSpec(1, base.ambient), hs)
+    return intersection_number(base.ambient, hs)
 
 
 def speciality(n: int, d: int, g: int) -> int:
@@ -238,9 +245,10 @@ def classify(base: IncidenceBase) -> ScrollReport:
     _require_is(base)
     node = degeneration_tree(base)
     d = degree(base)
-    assert d == node.degree, (
-        f"ring degree {d} disagrees with degeneration bookkeeping {node.degree} "
-        f"for {format_base(base)}")
+    if d != node.degree:
+        raise InvariantError(
+            f"ring degree {d} disagrees with degeneration bookkeeping {node.degree} "
+            f"for {format_base(base)}")
     g = node.genus
 
     effective = restrict_to_span(base)

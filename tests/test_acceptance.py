@@ -15,13 +15,7 @@ from incidence_scrolls.bases import (
     separate,
 )
 from incidence_scrolls.closed_forms import p2s, p3s, table
-from incidence_scrolls.grassmann import (
-    CycleSum,
-    GrassmannSpec,
-    intersection_number,
-    product_of_specials,
-    w,
-)
+from incidence_scrolls.grassmann import intersection_number, product_of_specials
 from incidence_scrolls.invariants import classify, degeneration_tree
 
 
@@ -113,13 +107,11 @@ def test_criterion_4_closed_form_sweeps():
 def test_criterion_5_pieri_proof_chains():
     with criterion(5, "Pieri proof-chain identities"):
         for n in range(3, 11):
-            assert intersection_number(
-                GrassmannSpec(1, n), [1] + [n - 2] * n) == n - 1
+            assert intersection_number(n, [1] + [n - 2] * n) == n - 1
         for n in range(5, 11):
             assert intersection_number(
-                GrassmannSpec(1, n),
-                [2, n - 3] + [n - 2] * (n - 1)) == (n - 1) * (n - 2) // 2
-        assert intersection_number(GrassmannSpec(1, 5), [2] + [3] * 6) == 9
+                n, [2, n - 3] + [n - 2] * (n - 1)) == (n - 1) * (n - 2) // 2
+        assert intersection_number(5, [2] + [3] * 6) == 9
 
 
 def test_criterion_6_catalan_oracle():
@@ -128,9 +120,8 @@ def test_criterion_6_catalan_oracle():
         for n in range(3, 9):
             catalan = factorial(2 * n - 2) // (factorial(n - 1) * factorial(n))
             assert catalan == expected[n]
-            spec = GrassmannSpec(1, n)
-            assert product_of_specials(spec, [n - 2] * (2 * n - 2)) == \
-                CycleSum(spec, {w(0, 1): catalan})
+            assert product_of_specials(n, [n - 2] * (2 * n - 2)) == \
+                {(0, 1): catalan}
 
 
 def test_criterion_7_degeneration_bookkeeping():

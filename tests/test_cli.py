@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from incidence_scrolls import invariants
 from incidence_scrolls.cli import main
 
 
@@ -161,6 +162,23 @@ class TestProduct:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("grassmann", ["0,5", "2,5", "1,1"])
+    def test_lines_only(self, capsys, grassmann):
+        code, out, err = run(capsys, "product", "--grassmann", grassmann,
+                             "--specials", "0")
+        assert code == 2
+        assert out == "" and err
+
+
+class TestExitCodes:
+    def test_invariant_error(self, capsys, monkeypatch):
+        ring_degree = invariants.degree
+        monkeypatch.setattr(invariants, "degree", lambda base: ring_degree(base) + 1)
+        code, out, err = run(capsys, "analyze", "-n", "3", "--base", "1,1,1")
+        assert code == 4
+        assert out == ""
+        assert "disagrees" in err
+
 
 class TestCache:
     def test_write_and_reuse(self, capsys, tmp_path):
@@ -198,3 +216,24 @@ class TestCache:
                            "--cache", str(cache))
         assert code == 2
         assert "unrecognized" in err
+
+    def test_missing_field_rejected(self, capsys, tmp_path):
+        cache = tmp_path / "cache.txt"
+        cache.write_text("# incidence-scrolls cache v1\na=1\n")
+        code, _, err = run(capsys, "analyze", "-n", "3", "--base", "1,1,1",
+                           "--cache", str(cache))
+        assert code == 2
+        assert "malformed cache line 'a=1'" in err
+
+    def test_missing_directory_rejected(self, capsys, tmp_path):
+        cache = tmp_path / "absent" / "cache.txt"
+        code, out, err = run(capsys, "enumerate", "-n", "3", "--cache", str(cache))
+        assert code == 2
+        assert out == ""
+        assert "cannot write cache file" in err
+
+    def test_directory_rejected(self, capsys, tmp_path):
+        code, _, err = run(capsys, "analyze", "-n", "3", "--base", "1,1,1",
+                           "--cache", str(tmp_path))
+        assert code == 2
+        assert "cannot read cache file" in err

@@ -6,253 +6,195 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incidence_scrolls.grassmann import (
-    CycleSum,
-    GrassmannSpec,
-    codimension,
-    coefficient_of,
-    fundamental_class_index,
-    index_codimension,
-    intersection_number,
-    multiply_sum,
-    pieri_multiply,
-    point_class_index,
-    product_of_specials,
-    render,
-    w,
-)
+from incidence_scrolls.grassmann import intersection_number, product_of_specials, render
 
 
-def pieri_oracle(spec, index, h):
-    """Exhaustive enumeration of the admissible output sequences."""
-    a = index.a
-    drop = spec.n - spec.l - h
-    target = sum(a) - drop
-    ranges = [range(0, a[0] + 1)]
-    ranges += [range(a[i - 1] + 1, a[i] + 1) for i in range(1, len(a))]
-    terms = {}
-    for b in itertools.product(*ranges):
-        if sum(b) == target:
-            terms[w(*b)] = 1
-    return CycleSum(spec, terms)
+def pieri_oracle(n, hs):
+    """Fold of Pieri's rule by exhaustive enumeration of each step's (b0, b1)."""
+    terms = {(n - 1, n): 1}
+    for h in hs:
+        out = {}
+        for (a0, a1), coeff in terms.items():
+            target = a0 + a1 - (n - 1 - h)
+            for b in itertools.product(range(0, a0 + 1), range(a0 + 1, a1 + 1)):
+                if sum(b) == target:
+                    out[b] = out.get(b, 0) + coeff
+        terms = out
+    return terms
+
+
+def codimension_of(n, index):
+    a0, a1 = index
+    return 2 * (n - 1) - (a0 + a1 - 1)
 
 
 class TestCodimension:
+    # the special class of parameter h is w(h, n), of codimension n - 1 - h
     def test_hyperplane_class(self):
-        assert codimension(GrassmannSpec(1, 4), 2) == 1
+        assert product_of_specials(4, [2]) == {(2, 4): 1}
+        assert codimension_of(4, (2, 4)) == 1
 
     def test_small(self):
-        assert codimension(GrassmannSpec(1, 3), 1) == 1
-        assert codimension(GrassmannSpec(1, 6), 3) == 2
+        assert product_of_specials(3, [1]) == {(1, 3): 1}
+        assert codimension_of(3, (1, 3)) == 1
+        assert product_of_specials(6, [3]) == {(3, 6): 1}
+        assert codimension_of(6, (3, 6)) == 2
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            codimension(GrassmannSpec(1, 4), 4)
+            product_of_specials(4, [4])
         with pytest.raises(ValueError):
-            codimension(GrassmannSpec(1, 4), -1)
-
-    def test_lines_only(self):
-        with pytest.raises(ValueError):
-            codimension(GrassmannSpec(2, 5), 1)
+            product_of_specials(4, [-1])
 
 
 class TestSpec:
     def test_dim(self):
-        assert GrassmannSpec(1, 4).dim == 6
-        assert GrassmannSpec(2, 5).dim == 9
+        # dim G(1,4) = 6: six hyperplane classes reach the point, a seventh is zero
+        assert list(product_of_specials(4, [2] * 6)) == [(0, 1)]
+        assert product_of_specials(4, [2] * 7) == {}
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            GrassmannSpec(3, 3)
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            w(2, 2)
-        with pytest.raises(ValueError):
-            w(-1, 3)
-        assert index_codimension(GrassmannSpec(1, 4), w(0, 1)) == 6
+            product_of_specials(1, [])
 
 
 class TestPieri:
     def test_basic(self):
-        result = pieri_multiply(GrassmannSpec(1, 3), w(1, 3), 1)
-        assert result == CycleSum(GrassmannSpec(1, 3), {w(0, 3): 1, w(1, 2): 1})
+        # w(1,3) is the special class of h=1 in G(1,3)
+        assert product_of_specials(3, [1, 1]) == {(0, 3): 1, (1, 2): 1}
 
     def test_g16(self):
-        result = pieri_multiply(GrassmannSpec(1, 6), w(2, 6), 4)
-        assert result == CycleSum(GrassmannSpec(1, 6), {w(1, 6): 1, w(2, 5): 1})
-
-    @pytest.mark.parametrize("n,index", [(4, w(1, 3)), (6, w(2, 5)), (7, w(0, 4))])
-    def test_identity_case(self, n, index):
-        # h = n-1 drops nothing: the only admissible sequence is a itself
-        spec = GrassmannSpec(1, n)
-        assert pieri_multiply(spec, index, n - 1) == CycleSum.of(spec, index)
+        # w(2,6) is the special class of h=2 in G(1,6)
+        assert product_of_specials(6, [2, 4]) == {(1, 6): 1, (2, 5): 1}
 
     def test_empty_sum(self):
-        assert pieri_multiply(GrassmannSpec(1, 6), w(1, 3), 2).is_zero()
-
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            pieri_multiply(GrassmannSpec(1, 4), w(2, 5), 1)
-        with pytest.raises(ValueError):
-            pieri_multiply(GrassmannSpec(1, 4), w(1, 2, 4), 1)
+        assert product_of_specials(6, [1, 1, 1, 1, 1, 1]) == {}
 
     def test_h_out_of_range(self):
         with pytest.raises(ValueError):
-            pieri_multiply(GrassmannSpec(1, 4), w(1, 3), 4)
+            product_of_specials(4, [1, 4])
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_oracle(self, data):
-        l = data.draw(st.integers(0, 2))
-        n = data.draw(st.integers(l + 1, 8))
-        spec = GrassmannSpec(l, n)
-        a = tuple(sorted(data.draw(
-            st.sets(st.integers(0, n), min_size=l + 1, max_size=l + 1))))
-        h = data.draw(st.integers(0, n - l))
-        assert pieri_multiply(spec, w(*a), h) == pieri_oracle(spec, w(*a), h)
+        n = data.draw(st.integers(2, 9))
+        hs = data.draw(st.lists(st.integers(0, n - 2), max_size=2 * n))
+        assert product_of_specials(n, hs) == pieri_oracle(n, hs)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_homogeneous_output(self, data):
         n = data.draw(st.integers(2, 8))
-        spec = GrassmannSpec(1, n)
-        a = tuple(sorted(data.draw(st.sets(st.integers(0, n), min_size=2, max_size=2))))
-        h = data.draw(st.integers(0, n - 1))
-        result = pieri_multiply(spec, w(*a), h)
-        expected = index_codimension(spec, w(*a)) + (n - 1 - h)
-        for index, coeff in result.items():
-            assert index_codimension(spec, index) == expected
-            assert coeff == 1
+        hs = data.draw(st.lists(st.integers(0, n - 2), max_size=2 * n))
+        expected = sum(n - 1 - h for h in hs)
+        for index in product_of_specials(n, hs):
+            assert 0 <= index[0] < index[1] <= n
+            assert codimension_of(n, index) == expected
+        # one Pieri step from a special class is multiplicity-free
+        h1, h2 = data.draw(st.integers(0, n - 2)), data.draw(st.integers(0, n - 2))
+        assert set(product_of_specials(n, [h1, h2]).values()) <= {1}
 
 
 class TestMultiplySum:
     def test_linear(self):
-        spec = GrassmannSpec(1, 6)
-        s = CycleSum(spec, {w(0, 4): 6, w(1, 3): 4})
-        assert multiply_sum(spec, s, 2) == CycleSum(spec, {w(0, 1): 6})
+        # each term of a sum is multiplied separately, with its coefficient
+        assert product_of_specials(6, [2, 4, 4, 4, 4]) == {(0, 4): 6, (1, 3): 4}
+        assert product_of_specials(6, [2, 4, 4, 4, 4, 2]) == {(0, 1): 6}
 
     def test_zero(self):
-        spec = GrassmannSpec(1, 5)
-        assert multiply_sum(spec, CycleSum.zero(spec), 3).is_zero()
-
-    def test_mixed_dimension_rejected(self):
-        spec = GrassmannSpec(1, 5)
-        with pytest.raises(ValueError):
-            CycleSum(spec, {w(0, 4): 1, w(0, 3): 1})
+        # past the point class the product vanishes and stays zero
+        assert product_of_specials(5, [3] * 9) == {}
+        assert product_of_specials(5, [3] * 9 + [0]) == {}
 
     def test_proof_chain_g15(self):
-        # w(2,5) times five special cycles of a solid, then one more:
-        # passes through 9*w(0,2) and ends at 9*w(0,1)
-        spec = GrassmannSpec(1, 5)
-        acc = CycleSum.of(spec, w(2, 5))
-        for _ in range(5):
-            acc = multiply_sum(spec, acc, 3)
-        assert acc == CycleSum(spec, {w(0, 2): 9})
-        acc = multiply_sum(spec, acc, 3)
-        assert acc == CycleSum(spec, {w(0, 1): 9})
+        # w(2,5) times five special cycles of a solid passes through 9*w(0,2);
+        # one more ends at 9*w(0,1)
+        assert product_of_specials(5, [2, 3, 3, 3, 3, 3]) == {(0, 2): 9}
+        assert product_of_specials(5, [2, 3, 3, 3, 3, 3, 3]) == {(0, 1): 9}
 
 
 class TestProductOfSpecials:
     def test_catalan_g14(self):
-        spec = GrassmannSpec(1, 4)
-        assert product_of_specials(spec, [2] * 6) == CycleSum(spec, {w(0, 1): 5})
+        assert product_of_specials(4, [2] * 6) == {(0, 1): 5}
 
     def test_quadric_degree(self):
-        spec = GrassmannSpec(1, 3)
-        assert product_of_specials(spec, [1] * 4) == CycleSum(spec, {w(0, 1): 2})
+        assert product_of_specials(3, [1] * 4) == {(0, 1): 2}
 
     def test_solid_family_seed(self):
-        spec = GrassmannSpec(1, 5)
-        assert product_of_specials(spec, [2, 3, 3, 3, 3, 3, 3]) == \
-            CycleSum(spec, {w(0, 1): 9})
+        assert product_of_specials(5, [2, 3, 3, 3, 3, 3, 3]) == {(0, 1): 9}
 
     def test_permutation_invariant(self):
-        spec = GrassmannSpec(1, 6)
         hs = [1, 2, 2, 3, 4, 4, 3, 2]
-        reference = product_of_specials(spec, hs)
+        reference = product_of_specials(6, hs)
         rng = random.Random(0)
         for _ in range(8):
             shuffled = hs[:]
             rng.shuffle(shuffled)
-            assert product_of_specials(spec, shuffled) == reference
+            assert product_of_specials(6, shuffled) == reference
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_nonnegative_coefficients(self, data):
         n = data.draw(st.integers(3, 7))
-        spec = GrassmannSpec(1, n)
         hs = data.draw(st.lists(st.integers(0, n - 2), min_size=0, max_size=2 * n - 2))
-        for _, coeff in product_of_specials(spec, hs).items():
+        for coeff in product_of_specials(n, hs).values():
             assert coeff > 0
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            product_of_specials(GrassmannSpec(1, 4), [3])
+            product_of_specials(4, [3])
+
+    def test_accepts_any_iterable(self):
+        assert product_of_specials(4, iter([2] * 6)) == {(0, 1): 5}
+        assert intersection_number(4, iter([2] * 6)) == 5
 
 
 class TestCoefficientOf:
-    def test_stored(self):
-        spec = GrassmannSpec(1, 4)
-        s = CycleSum(spec, {w(0, 1): 6})
-        assert coefficient_of(s, w(0, 1)) == 6
-        assert coefficient_of(s, w(0, 2)) == 0
-
     def test_quadric_cone_base(self):
         # lines meeting two lines and a plane in P^4 sweep the quadric in P^3
-        spec = GrassmannSpec(1, 4)
-        product = product_of_specials(spec, [1, 1, 2])
-        assert coefficient_of(product, w(0, 2)) == 2
+        assert product_of_specials(4, [1, 1, 2]) == {(0, 2): 2}
 
 
 class TestIntersectionNumber:
     def test_plane_family_directrix(self):
-        assert intersection_number(GrassmannSpec(1, 4), [1, 2, 2, 2, 2]) == 3
+        assert intersection_number(4, [1, 2, 2, 2, 2]) == 3
 
     def test_solid_family_seed(self):
-        assert intersection_number(GrassmannSpec(1, 5), [2, 3, 3, 3, 3, 3, 3]) == 9
+        assert intersection_number(5, [2, 3, 3, 3, 3, 3, 3]) == 9
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_line_and_hyperplane_traces(self, n):
-        assert intersection_number(GrassmannSpec(1, n), [1] + [n - 2] * n) == n - 1
+        assert intersection_number(n, [1] + [n - 2] * n) == n - 1
 
     @pytest.mark.parametrize("n", range(5, 11))
     def test_solid_trace(self, n):
         hs = [2, n - 3] + [n - 2] * (n - 1)
-        assert intersection_number(GrassmannSpec(1, n), hs) == (n - 1) * (n - 2) // 2
+        assert intersection_number(n, hs) == (n - 1) * (n - 2) // 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            intersection_number(GrassmannSpec(1, 4), [2, 2])
+            intersection_number(4, [2, 2])
 
 
 class TestCatalanOracle:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_plucker_degree(self, n):
         catalan = factorial(2 * n - 2) // (factorial(n - 1) * factorial(n))
-        spec = GrassmannSpec(1, n)
-        product = product_of_specials(spec, [n - 2] * (2 * n - 2))
-        assert product == CycleSum(spec, {w(0, 1): catalan})
+        assert product_of_specials(n, [n - 2] * (2 * n - 2)) == {(0, 1): catalan}
 
 
 class TestRender:
     def test_point_multiple(self):
-        spec = GrassmannSpec(1, 5)
-        assert render(CycleSum(spec, {w(0, 1): 9})) == "9*w(0,1)"
+        assert render({(0, 1): 9}) == "9*w(0,1)"
 
     def test_sorted_terms(self):
-        spec = GrassmannSpec(1, 3)
-        s = CycleSum(spec, {w(1, 2): 1, w(0, 3): 1})
-        assert render(s) == "1*w(0,3) + 1*w(1,2)"
+        assert render({(1, 2): 1, (0, 3): 1}) == "1*w(0,3) + 1*w(1,2)"
 
     def test_zero(self):
-        assert render(CycleSum.zero(GrassmannSpec(1, 3))) == "0"
+        assert render({}) == "0"
 
 
 def test_fundamental_and_point_classes():
-    spec = GrassmannSpec(1, 5)
-    assert fundamental_class_index(spec) == w(4, 5)
-    assert point_class_index(spec) == w(0, 1)
-    spec2 = GrassmannSpec(2, 6)
-    assert fundamental_class_index(spec2) == w(4, 5, 6)
-    assert point_class_index(spec2) == w(0, 1, 2)
+    # the empty product is the fundamental class w(n-1, n); the point class is w(0, 1)
+    assert product_of_specials(5, []) == {(4, 5): 1}
+    assert list(product_of_specials(5, [3] * 8)) == [(0, 1)]

@@ -1,7 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import incidence_scrolls
+from incidence_scrolls import invariants
 from incidence_scrolls.bases import (
     IncidenceBase,
     enumerate_bases,
@@ -9,8 +15,9 @@ from incidence_scrolls.bases import (
     join,
     restrict_to_span,
 )
-from incidence_scrolls.grassmann import GrassmannSpec, product_of_specials, w
+from incidence_scrolls.grassmann import product_of_specials
 from incidence_scrolls.invariants import (
+    InvariantError,
     classify,
     degeneration_tree,
     degree,
@@ -229,10 +236,52 @@ class TestClassify:
 
 class TestRingConsistency:
     def test_point_coefficient_equals_pencil(self):
-        # one extra hyperplane condition takes each pencil class to a point
-        for n in range(3, 7):
-            for base in enumerate_bases(n, nondegenerate_only=True):
-                spec = GrassmannSpec(1, n)
-                product = product_of_specials(spec, base.dims)
-                again = product_of_specials(spec, list(base.dims) + [n - 2])
-                assert product.coefficient(w(0, 2)) == again.coefficient(w(0, 1))
+        # one extra hyperplane condition takes each pencil class to a point;
+        # degree() reads the point coefficient of the longer product
+        for n in range(3, 9):
+            bases = enumerate_bases(n)
+            assert any(0 in base.dims for base in bases)
+            assert any(not is_nondegenerate(base) for base in bases)
+            for base in bases:
+                d = degree(base)
+                assert product_of_specials(n, base.dims) == {(0, 2): d}
+                assert product_of_specials(n, list(base.dims) + [n - 2]) == {(0, 1): d}
+
+
+RING_DEGREE_OFF_BY_ONE = """
+from incidence_scrolls import invariants
+from incidence_scrolls.bases import IncidenceBase
+
+print("debug", __debug__)
+ring_degree = invariants.degree
+invariants.degree = lambda base: ring_degree(base) + 1
+try:
+    invariants.classify(IncidenceBase(4, (1, 2, 2, 2)))
+except invariants.InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
+class TestCrossChecks:
+    def test_ring_degree_check_survives_optimize(self):
+        src = str(Path(incidence_scrolls.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", RING_DEGREE_OFF_BY_ONE],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "debug False",
+            "InvariantError: ring degree 4 disagrees with degeneration "
+            "bookkeeping 3 for n=4 dims=1,2,2,2",
+        ]
+
+    def test_kappa_must_be_positive(self, monkeypatch):
+        monkeypatch.setattr(invariants, "intersection_number", lambda n, hs: 0)
+        with pytest.raises(InvariantError):
+            kappa(B(5, 3, 3, 3, 3, 3, 3, 3), 0, 1)
+
+    def test_m_zero_join_shares_one_generator(self, monkeypatch):
+        monkeypatch.setattr(invariants, "kappa", lambda base, i, j: 2)
+        with pytest.raises(InvariantError):
+            degeneration_tree(B(6, 2, 3, 3, 4, 4), first_pair=(0, 1))

@@ -3,6 +3,7 @@
 from .bases import (
     EmptyIncidenceError,
     IncidenceBase,
+    InvariantError,
     JoinResult,
     canonicalize,
     conditions_count,
@@ -19,7 +20,6 @@ from .closed_forms import ClosedFormRecord, TableRow, p1s, p2s, p3s, table
 from .grassmann import intersection_number, product_of_specials, render
 from .invariants import (
     DegenerationNode,
-    InvariantError,
     ScrollReport,
     UnresolvedDegenerationError,
     classify,
@@ -28,16 +28,18 @@ from .invariants import (
     directrix_degree,
     genus,
     kappa,
+    node_table,
     speciality,
 )
 
 __all__ = [
     "intersection_number", "product_of_specials", "render",
-    "EmptyIncidenceError", "IncidenceBase", "JoinResult", "canonicalize",
-    "conditions_count", "enumerate_bases", "format_base", "is_nondegenerate",
-    "join", "parse_base", "restrict_to_span", "satisfies_is", "separate",
-    "DegenerationNode", "InvariantError", "ScrollReport", "UnresolvedDegenerationError",
+    "EmptyIncidenceError", "IncidenceBase", "InvariantError", "JoinResult",
+    "canonicalize", "conditions_count", "enumerate_bases", "format_base",
+    "is_nondegenerate", "join", "parse_base", "restrict_to_span", "satisfies_is",
+    "separate",
+    "DegenerationNode", "ScrollReport", "UnresolvedDegenerationError",
     "classify", "degeneration_tree", "degree", "directrix_degree", "genus",
-    "kappa", "speciality",
+    "kappa", "node_table", "speciality",
     "ClosedFormRecord", "TableRow", "p1s", "p2s", "p3s", "table",
 ]

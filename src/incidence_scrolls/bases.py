@@ -16,6 +16,16 @@ class EmptyIncidenceError(ValueError):
     """Restriction to the span would force a base space of negative dimension."""
 
 
+class InvariantError(RuntimeError):
+    """A computed result breaks a cross-check the theory guarantees (never observed).
+
+    Every base that join, separate or restrict_to_span produces must impose
+    exactly 2n-3 conditions; the ring degree must equal the degree of the
+    degeneration witness, kappa must be positive, and a join with m = 0 must
+    share exactly one generator.
+    """
+
+
 @dataclass(frozen=True, order=True)
 class IncidenceBase:
     """Ambient projective dimension plus the sorted multiset of base dimensions."""
@@ -31,9 +41,6 @@ class IncidenceBase:
             if not 0 <= d < self.ambient:
                 raise ValueError(
                     f"base space dimension {d} out of range for P^{self.ambient}")
-
-    def key(self) -> str:
-        return format_base(self)
 
 
 def format_base(base: IncidenceBase) -> str:
@@ -60,6 +67,13 @@ def conditions_count(base: IncidenceBase) -> int:
 def satisfies_is(base: IncidenceBase) -> bool:
     """True when the base cuts out a curve of lines: exactly 2n-3 conditions."""
     return conditions_count(base) == 2 * base.ambient - 3
+
+
+def _require_result_is(base: IncidenceBase, step: str) -> None:
+    if not satisfies_is(base):
+        raise InvariantError(
+            f"{step} produced {format_base(base)}, which is not an "
+            f"incidence-scroll base")
 
 
 def is_nondegenerate(base: IncidenceBase) -> bool:
@@ -107,7 +121,8 @@ def join(base: IncidenceBase, i: int, j: int) -> JoinResult:
         raise ValueError("cannot push a point into the hyperplane")
     dot = canonicalize(IncidenceBase(n, others + (m,)))
     ddot = canonicalize(IncidenceBase(n - 1, tuple(d - 1 for d in others) + (di, dj)))
-    assert satisfies_is(dot) and satisfies_is(ddot)
+    _require_result_is(dot, "join")
+    _require_result_is(ddot, "join")
     return JoinResult(dot=dot, ddot=ddot, m=m)
 
 
@@ -125,7 +140,7 @@ def separate(base: IncidenceBase, i: int, j: int) -> IncidenceBase:
         raise ValueError(f"separate needs d_i + d_j = ambient, got {di}+{dj} != {n}")
     others = tuple(d for k, d in enumerate(base.dims) if k not in (i, j))
     lifted = canonicalize(IncidenceBase(n + 1, tuple(d + 1 for d in others) + (di, dj)))
-    assert satisfies_is(lifted)
+    _require_result_is(lifted, "separate")
     return lifted
 
 
@@ -159,7 +174,7 @@ def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
                 f"no incidence scroll: {format_base(base)} restricts to an "
                 f"empty configuration")
         current = canonicalize(IncidenceBase(span, (x, y, *shrunk)))
-        assert satisfies_is(current)
+        _require_result_is(current, "restrict_to_span")
 
 
 def _dims_summing_to(n: int, remaining: int, min_dim: int) -> Iterator[tuple[int, ...]]:

@@ -1,10 +1,16 @@
 """Command-line interface: enumeration, classification, tables, and raw
 products of special Schubert classes on the Grassmannian of lines G(1,n).
 
+`analyze --tree` prints the degeneration witness as a node table, one line
+(or, in json, one row) per distinct sub-base, children before parents and
+the root last; `invariants.node_table` defines the rows.
+
 Exit codes: 0 success, 2 invalid input or an unreadable or unwritable cache
 file, 3 engine gave up on a degeneration (not observed on any known base),
 4 a cross-check of the engine's results failed, such as the ring degree
-against the degeneration tree (not observed either).
+against the degeneration witness or a join yielding a base that does not
+impose 2n-3 conditions (not observed either).  The checks also run under
+python -O.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import closed_forms
@@ -25,6 +33,7 @@ from .invariants import (
     UnresolvedDegenerationError,
     classify,
     conditions_count,
+    node_table,
 )
 
 SOFT_AMBIENT_CAP = 12
@@ -95,9 +104,18 @@ def _load_cache(path: Path) -> dict[str, tuple[int, int]]:
 def _save_cache(path: Path, entries: dict[str, tuple[int, int]]) -> None:
     lines = [CACHE_HEADER]
     lines += [f"{key} degree={d} genus={g}" for key, (d, g) in sorted(entries.items())]
+    # write a sibling temp file and rename it over the old one, so a failed
+    # write never leaves the cache half-written
+    tmp = None
     try:
-        path.write_text("\n".join(lines) + "\n")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                                   suffix=".tmp")
+        with os.fdopen(fd, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
     except OSError as exc:
+        if tmp is not None:
+            os.unlink(tmp)
         raise ValueError(f"cannot write cache file {path}: {exc.strerror}") from exc
 
 
@@ -149,16 +167,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_tree(node, indent: int = 0) -> str:
-    pad = "  " * indent
-    if node.action == "join":
-        head = (f"{pad}join {format_base(node.base)} pair=({node.pair[0]},{node.pair[1]}) "
-                f"m={node.m} kappa={node.kappa} -> d={node.degree} g={node.genus}")
-    elif node.action == "restrict":
-        head = f"{pad}restrict {format_base(node.base)} -> d={node.degree} g={node.genus}"
-    else:
-        head = f"{pad}leaf {format_base(node.base)} d={node.degree} g={node.genus}"
-    return "\n".join([head] + [_render_tree(c, indent + 1) for c in node.children])
+def _render_witness(table: dict) -> str:
+    lines = []
+    for row in table["nodes"]:
+        line = f"#{row['id']} {row['action']} {row['base']}"
+        if row["action"] == "join":
+            pair = ",".join(map(str, row["pair"]))
+            line += f" pair=({pair}) m={row['m']} kappa={row['kappa']}"
+        line += f" -> d={row['degree']} g={row['genus']}"
+        if row["children"]:
+            line += " children=" + ",".join(f"#{c}" for c in row["children"])
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -173,7 +193,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         print(_render_rows([_report_row(report)], REPORT_COLUMNS, args.format))
         if args.tree:
-            print(_render_tree(report.tree))
+            print(_render_witness(node_table(report.tree)))
     return 0
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field, replace
 from math import comb
 from typing import Optional
 
-from .bases import IncidenceBase, is_nondegenerate, restrict_to_span, satisfies_is
+from .bases import (
+    IncidenceBase,
+    InvariantError,
+    format_base,
+    is_nondegenerate,
+    restrict_to_span,
+    satisfies_is,
+)
 
 
 def binom(a: int, b: int) -> int:
@@ -43,7 +50,10 @@ class ClosedFormRecord:
 
 
 def _finish(record: ClosedFormRecord) -> ClosedFormRecord:
-    assert satisfies_is(record.base)
+    if not satisfies_is(record.base):
+        raise InvariantError(
+            f"{record.family} closed form built {format_base(record.base)}, "
+            f"which is not an incidence-scroll base")
     if not is_nondegenerate(record.base):
         return replace(record, degenerate=True,
                        restricted=restrict_to_span(record.base))

@@ -4,16 +4,19 @@ The degree comes straight from the product of special Schubert cycles.  The
 genus is computed by recursively degenerating the configuration: two base
 spaces are pushed into a hyperplane, the scroll breaks into two smaller
 incidence scrolls sharing kappa generators, and the genera add up as
-g = g1 + g2 + kappa - 1.  Every computation records its degeneration tree.
+g = g1 + g2 + kappa - 1.  Every computation records its degeneration witness,
+whose repeated sub-bases are shared.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .bases import (
     IncidenceBase,
+    InvariantError,
     canonicalize,
     conditions_count,
     format_base,
@@ -27,14 +30,6 @@ from .grassmann import intersection_number
 
 class UnresolvedDegenerationError(RuntimeError):
     """No admissible pair was found while degenerating a base (never observed)."""
-
-
-class InvariantError(RuntimeError):
-    """A computed number breaks a cross-check the theory guarantees (never observed).
-
-    The ring degree must equal the degree of the degeneration tree, kappa
-    must be positive, and a join with m = 0 must share exactly one generator.
-    """
 
 
 def _require_is(base: IncidenceBase) -> None:
@@ -93,28 +88,6 @@ class DegenerationNode:
     kappa: Optional[int] = None
     children: tuple["DegenerationNode", ...] = ()
 
-    def to_dict(self) -> dict:
-        out = {
-            "base": format_base(self.base),
-            "action": self.action,
-            "degree": self.degree,
-            "genus": self.genus,
-        }
-        if self.action == "join":
-            out["pair"] = list(self.pair)
-            out["m"] = self.m
-            out["kappa"] = self.kappa
-        if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
-        return out
-
-
-_MEMO: dict[tuple[int, tuple[int, ...]], DegenerationNode] = {}
-
-
-def clear_memo() -> None:
-    _MEMO.clear()
-
 
 def _choose_pair(base: IncidenceBase) -> tuple[int, int]:
     """Deterministic join pair: minimal m, then smallest dimension pair."""
@@ -134,46 +107,84 @@ def _choose_pair(base: IncidenceBase) -> tuple[int, int]:
     return best[1]
 
 
-def degeneration_tree(base: IncidenceBase,
-                      first_pair: tuple[int, int] | None = None) -> DegenerationNode:
-    """Witness tree of the genus recursion.
+@functools.cache
+def _tree(ambient: int, dims: tuple[int, ...],
+          first_pair: tuple[int, int] | None) -> DegenerationNode:
+    """Witness of a canonical base; cached calls pass first_pair=None.
 
-    With first_pair the root join is forced to those base-space indices;
-    the subtrees still follow the deterministic rule.  Results of the
-    deterministic path are memoized on the canonical base key.
+    A root with a forced first_pair is built by `_tree.__wrapped__`, outside
+    the cache, while the bases it reduces to still come from the cache.
     """
-    base = canonicalize(base)
+    base = IncidenceBase(ambient, dims)
     _require_is(base)
-    key = (base.ambient, base.dims)
-    if first_pair is None and key in _MEMO:
-        return _MEMO[key]
-
-    if base.ambient <= 2 or 0 in base.dims:
+    if ambient <= 2 or 0 in dims:
         # a point in the base (or a planar ambient) sweeps a plane pencil
-        node = DegenerationNode(base=base, action="leaf", degree=1, genus=0)
-    elif not is_nondegenerate(base):
-        child = degeneration_tree(restrict_to_span(base))
-        node = DegenerationNode(base=base, action="restrict",
+        return DegenerationNode(base=base, action="leaf", degree=1, genus=0)
+    if not is_nondegenerate(base):
+        span = restrict_to_span(base)
+        child = _tree(span.ambient, span.dims, None)
+        return DegenerationNode(base=base, action="restrict",
                                 degree=child.degree, genus=child.genus,
                                 children=(child,))
-    else:
-        i, j = first_pair if first_pair is not None else _choose_pair(base)
-        di, dj = base.dims[i], base.dims[j]
-        result = join(base, i, j)
-        shared = kappa(base, i, j)
-        if result.m == 0 and shared != 1:
-            raise InvariantError(f"m=0 join must share one generator, got {shared}")
-        dot = degeneration_tree(result.dot)
-        ddot = degeneration_tree(result.ddot)
-        node = DegenerationNode(base=base, action="join",
-                                degree=dot.degree + ddot.degree,
-                                genus=dot.genus + ddot.genus + shared - 1,
-                                pair=(di, dj), m=result.m, kappa=shared,
-                                children=(dot, ddot))
+    i, j = first_pair if first_pair is not None else _choose_pair(base)
+    result = join(base, i, j)
+    shared = kappa(base, i, j)
+    if result.m == 0 and shared != 1:
+        raise InvariantError(f"m=0 join must share one generator, got {shared}")
+    dot = _tree(result.dot.ambient, result.dot.dims, None)
+    ddot = _tree(result.ddot.ambient, result.ddot.dims, None)
+    return DegenerationNode(base=base, action="join",
+                            degree=dot.degree + ddot.degree,
+                            genus=dot.genus + ddot.genus + shared - 1,
+                            pair=(dims[i], dims[j]), m=result.m, kappa=shared,
+                            children=(dot, ddot))
 
+
+def degeneration_tree(base: IncidenceBase,
+                      first_pair: tuple[int, int] | None = None) -> DegenerationNode:
+    """Witness of the genus recursion, a DAG of shared sub-bases.
+
+    With first_pair the root join is forced to those base-space indices;
+    every subtree follows the deterministic rule and is shared with every
+    other witness that reaches the same canonical base.
+    """
+    base = canonicalize(base)
     if first_pair is None:
-        _MEMO[key] = node
-    return node
+        return _tree(base.ambient, base.dims, None)
+    return _tree.__wrapped__(base.ambient, base.dims, first_pair)
+
+
+def node_table(root: DegenerationNode) -> dict:
+    """The witness as a table with one row per distinct base.
+
+    Rows are in topological order: children before parents, the root last,
+    and a row's id is its index.  Every row has id, base, action, degree,
+    genus and the ids of its children; a join row also has the dimensions
+    of the joined pair, m and kappa.  The table grows with the number of
+    distinct sub-bases, while the expanded tree can be exponentially larger.
+    """
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    nodes: list[dict] = []
+
+    def visit(node: DegenerationNode) -> int:
+        key = (node.base.ambient, node.base.dims)
+        if key not in ids:
+            children = []
+            for child in node.children:  # a comprehension would add a frame per level
+                children.append(visit(child))
+            row = {"id": len(nodes), "base": format_base(node.base),
+                   "action": node.action, "degree": node.degree,
+                   "genus": node.genus}
+            if node.action == "join":
+                row["pair"] = list(node.pair)
+                row["m"] = node.m
+                row["kappa"] = node.kappa
+            row["children"] = children
+            ids[key] = row["id"]
+            nodes.append(row)
+        return ids[key]
+
+    return {"root": visit(root), "nodes": nodes}
 
 
 def genus(base: IncidenceBase) -> tuple[int, DegenerationNode]:
@@ -235,7 +246,7 @@ class ScrollReport:
             ],
         }
         if include_tree:
-            out["tree"] = self.tree.to_dict()
+            out["tree"] = node_table(self.tree)
         return out
 
 

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import pytest
 
@@ -88,15 +90,38 @@ class TestAnalyze:
         data = json.loads(out)
         assert (data["degree"], data["genus"], data["h1"]) == (14, 8, 6)
         assert data["special"] is True
-        assert data["tree"]["action"] == "join"
-        assert data["tree"]["kappa"] == 5
+        assert list(data)[-1] == "tree"
+        root = data["tree"]["nodes"][data["tree"]["root"]]
+        assert root["action"] == "join"
+        assert root["kappa"] == 5
 
     def test_tree_text(self, capsys):
         code, out, _ = run(capsys, "analyze", "-n", "4", "--base", "2,2,2,2,2",
                            "--tree")
         assert code == 0
-        assert "join n=4 dims=2,2,2,2,2" in out
-        assert "leaf" in out
+        assert out.splitlines()[2:] == [
+            "#0 leaf n=4 dims=0,2,2 -> d=1 g=0",
+            "#1 leaf n=3 dims=0,1 -> d=1 g=0",
+            "#2 leaf n=2 dims=0 -> d=1 g=0",
+            "#3 join n=3 dims=1,1,1 pair=(1,1) m=0 kappa=1 -> d=2 g=0 children=#1,#2",
+            "#4 join n=4 dims=1,2,2,2 pair=(1,2) m=0 kappa=1 -> d=3 g=0 children=#0,#3",
+            "#5 join n=4 dims=2,2,2,2,2 pair=(2,2) m=1 kappa=2 -> d=5 g=1 "
+            "children=#4,#3",
+        ]
+
+    @pytest.mark.parametrize("n,count", [(10, 45), (11, 55), (12, 66)])
+    def test_witness_lists_distinct_nodes(self, capsys, n, count):
+        dims = ",".join([str(n - 2)] * (2 * n - 3))
+        code, out, _ = run(capsys, "analyze", "-n", str(n), "--base", dims,
+                           "--tree", "--format", "json")
+        assert code == 0
+        table = json.loads(out)["tree"]
+        assert len(table["nodes"]) == count
+        code, out, _ = run(capsys, "analyze", "-n", str(n), "--base", dims, "--tree")
+        assert code == 0
+        lines = out.splitlines()[2:]
+        assert [line.split()[:2] for line in lines] == \
+            [[f"#{row['id']}", row["action"]] for row in table["nodes"]]
 
     def test_not_a_base(self, capsys):
         code, _, err = run(capsys, "analyze", "-n", "5", "--base", "2,3")
@@ -237,3 +262,29 @@ class TestCache:
                            "--cache", str(tmp_path))
         assert code == 2
         assert "cannot read cache file" in err
+
+    def test_failed_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.txt"
+        run(capsys, "analyze", "-n", "3", "--base", "1,1,1", "--cache", str(cache))
+        before = cache.read_bytes()
+        real_fdopen = os.fdopen
+
+        def fdopen_on_full_disk(fd, *args, **kwargs):
+            handle = real_fdopen(fd, *args, **kwargs)
+
+            def write(text):
+                real_write(text[:len(text) // 2])
+                handle.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            real_write = handle.write
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(os, "fdopen", fdopen_on_full_disk)
+        code, _, err = run(capsys, "analyze", "-n", "4", "--base", "1,2,2,2",
+                           "--cache", str(cache))
+        assert code == 2
+        assert "cannot write cache file" in err and "No space left" in err
+        assert cache.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [cache]

@@ -5,15 +5,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import incidence_scrolls
 from incidence_scrolls import invariants
 from incidence_scrolls.bases import (
     IncidenceBase,
+    canonicalize,
     enumerate_bases,
+    format_base,
     is_nondegenerate,
     join,
+    parse_base,
     restrict_to_span,
+    satisfies_is,
+    separate,
 )
 from incidence_scrolls.grassmann import product_of_specials
 from incidence_scrolls.invariants import (
@@ -24,12 +31,73 @@ from incidence_scrolls.invariants import (
     directrix_degree,
     genus,
     kappa,
+    node_table,
     speciality,
 )
 
 
 def B(ambient, *dims):
     return IncidenceBase(ambient, dims)
+
+
+def check_witness(base, table):
+    """Re-verify every row of a witness node table from local arithmetic only.
+
+    Each join row must list exactly the two bases `join` makes at its pair,
+    with the recorded m and kappa; each restrict row the base
+    `restrict_to_span` makes; degrees and genera must add up row by row, and
+    the root's degree must be the ring degree of `base`.
+    """
+    nodes = table["nodes"]
+    assert [row["id"] for row in nodes] == list(range(len(nodes)))
+    assert table["root"] == len(nodes) - 1
+    assert len({row["base"] for row in nodes}) == len(nodes)
+    for row in nodes:
+        node_base = parse_base(row["base"])
+        assert all(child < row["id"] for child in row["children"])
+        children = [nodes[child] for child in row["children"]]
+        d, g = row["degree"], row["genus"]
+        if row["action"] == "leaf":
+            assert children == [] and (d, g) == (1, 0)
+            assert node_base.ambient <= 2 or 0 in node_base.dims
+        elif row["action"] == "restrict":
+            (child,) = children
+            assert child["base"] == format_base(restrict_to_span(node_base))
+            assert (d, g) == (child["degree"], child["genus"])
+        else:
+            assert row["action"] == "join"
+            low, high = sorted(row["pair"])
+            i = node_base.dims.index(low)
+            j = node_base.dims.index(high, i + 1)
+            result = join(node_base, i, j)
+            dot, ddot = children
+            assert [dot["base"], ddot["base"]] == \
+                [format_base(result.dot), format_base(result.ddot)]
+            assert row["m"] == result.m
+            assert row["kappa"] == kappa(node_base, i, j)
+            assert d == dot["degree"] + ddot["degree"]
+            assert g == dot["genus"] + ddot["genus"] + row["kappa"] - 1
+    root = nodes[table["root"]]
+    assert root["base"] == format_base(canonicalize(base))
+    assert root["degree"] == degree(base)
+
+
+def witness_base(n):
+    """{P^n; (2n-3) P^(n-2)}: few distinct sub-bases, a huge expanded tree."""
+    return IncidenceBase(n, (n - 2,) * (2 * n - 3))
+
+
+@st.composite
+def random_bases(draw, max_n=10):
+    """A base of P^n, n <= max_n, built one space at a time from its cost."""
+    n = draw(st.integers(3, max_n))
+    remaining = 2 * n - 3
+    dims = []
+    while remaining:
+        d = draw(st.integers(max(0, n - 1 - remaining), n - 2))
+        dims.append(d)
+        remaining -= n - 1 - d
+    return IncidenceBase(n, tuple(dims))
 
 
 class TestDegree:
@@ -148,11 +216,51 @@ class TestDegenerationTree:
             for base in enumerate_bases(n):
                 assert degeneration_tree(base).degree == degree(base)
 
-    def test_to_dict(self):
-        d = degeneration_tree(B(4, 2, 2, 2, 2, 2)).to_dict()
-        assert d["action"] == "join"
-        assert d["base"] == "n=4 dims=2,2,2,2,2"
-        assert len(d["children"]) == 2
+    def test_node_table(self):
+        table = node_table(degeneration_tree(B(4, 2, 2, 2, 2, 2)))
+        assert table["root"] == 5
+        assert table["nodes"][5] == {
+            "id": 5, "base": "n=4 dims=2,2,2,2,2", "action": "join",
+            "degree": 5, "genus": 1, "pair": [2, 2], "m": 1, "kappa": 2,
+            "children": [4, 3]}
+        assert table["nodes"][0] == {
+            "id": 0, "base": "n=4 dims=0,2,2", "action": "leaf",
+            "degree": 1, "genus": 0, "children": []}
+
+    def test_witness_checks_on_small_bases(self):
+        for n in range(3, 9):
+            for base in enumerate_bases(n):
+                check_witness(base, node_table(degeneration_tree(base)))
+
+    @pytest.mark.parametrize("n,count", [(10, 45), (11, 55), (12, 66)])
+    def test_witness_grows_with_distinct_nodes(self, n, count):
+        table = node_table(degeneration_tree(witness_base(n)))
+        assert len(table["nodes"]) == count
+        check_witness(witness_base(n), table)
+
+    @pytest.mark.parametrize("row,field,value", [
+        (5, "kappa", 3),        # kappa no longer matches the kernel
+        (5, "genus", 2),        # genus does not add up
+        (5, "children", [3, 4]),  # children out of join order
+        (4, "pair", [2, 2]),    # a pair whose join makes other bases
+        (1, "degree", 2),       # a leaf of degree 2
+        (3, "children", [1, 4]),  # a child listed after its parent
+    ])
+    def test_witness_check_rejects_tampering(self, row, field, value):
+        base = B(4, 2, 2, 2, 2, 2)
+        table = node_table(degeneration_tree(base))
+        table["nodes"][row][field] = value
+        with pytest.raises(AssertionError):
+            check_witness(base, table)
+
+    def test_forced_root_shares_cached_subtrees(self):
+        base = B(5, 2, 3, 3, 3, 3, 3)
+        forced = degeneration_tree(base, first_pair=(1, 2))
+        assert forced.pair == (3, 3)
+        assert forced is not degeneration_tree(base)
+        for child in forced.children:
+            assert child is degeneration_tree(child.base)
+        check_witness(base, node_table(forced))
 
 
 class TestDirectrixDegree:
@@ -219,10 +327,14 @@ class TestClassify:
         assert with_hyperplane.base == without.base
 
     def test_to_dict(self):
-        d = classify(B(4, 1, 2, 2, 2)).to_dict(include_tree=True)
+        base = B(4, 1, 2, 2, 2)
+        d = classify(base).to_dict(include_tree=True)
         assert d["dims"] == [1, 2, 2, 2]
         assert d["degree"] == 3 and d["h1"] == 0
-        assert d["tree"]["action"] == "join"
+        assert list(d)[-1] == "tree"
+        assert d["tree"]["nodes"][d["tree"]["root"]]["action"] == "join"
+        check_witness(base, d["tree"])
+        assert "tree" not in classify(base).to_dict()
 
     def test_speciality_consistency(self):
         # h1 recomputed from span/degree/genus on every base through P^7
@@ -262,15 +374,40 @@ except invariants.InvariantError as exc:
 """
 
 
+BASE_CHECKS_WITHOUT_IS = """
+from incidence_scrolls import bases, closed_forms
+from incidence_scrolls.bases import IncidenceBase, InvariantError
+
+print("debug", __debug__)
+bases.satisfies_is = closed_forms.satisfies_is = lambda base: False
+steps = [
+    lambda: bases.join(IncidenceBase(5, (3,) * 7), 0, 1),
+    lambda: bases.separate(IncidenceBase(6, (2, 3, 3, 4, 4)), 0, 3),
+    lambda: bases.restrict_to_span(IncidenceBase(6, (2, 2, 3, 4))),
+    lambda: closed_forms.p1s(4),
+]
+for step in steps:
+    try:
+        step()
+    except InvariantError as exc:
+        print("InvariantError:", exc)
+"""
+
+
+def run_optimized(code):
+    """Run `code` under `python -O`, which strips every assert."""
+    src = str(Path(incidence_scrolls.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 class TestCrossChecks:
     def test_ring_degree_check_survives_optimize(self):
-        src = str(Path(incidence_scrolls.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", RING_DEGREE_OFF_BY_ONE],
-                              env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
+        assert run_optimized(RING_DEGREE_OFF_BY_ONE) == [
             "debug False",
             "InvariantError: ring degree 4 disagrees with degeneration "
             "bookkeeping 3 for n=4 dims=1,2,2,2",
@@ -285,3 +422,65 @@ class TestCrossChecks:
         monkeypatch.setattr(invariants, "kappa", lambda base, i, j: 2)
         with pytest.raises(InvariantError):
             degeneration_tree(B(6, 2, 3, 3, 4, 4), first_pair=(0, 1))
+
+    def test_base_checks_survive_optimize(self):
+        assert run_optimized(BASE_CHECKS_WITHOUT_IS) == [
+            "debug False",
+            "InvariantError: join produced n=5 dims=2,3,3,3,3,3, which is "
+            "not an incidence-scroll base",
+            "InvariantError: separate produced n=7 dims=2,4,4,4,5, which is "
+            "not an incidence-scroll base",
+            "InvariantError: restrict_to_span produced n=5 dims=2,2,2,3, "
+            "which is not an incidence-scroll base",
+            "InvariantError: p1s closed form built n=4 dims=1,2,2,2, which "
+            "is not an incidence-scroll base",
+        ]
+
+
+class TestRandomBases:
+    """Properties of the engine on random bases beyond the exhaustive sweeps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases())
+    def test_tree_degree_is_ring_degree(self, base):
+        assert degeneration_tree(base).degree == degree(base)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases(), st.data())
+    def test_genus_independent_of_first_pair(self, base, data):
+        effective = restrict_to_span(base)
+        assume(0 not in effective.dims)
+        pair = data.draw(st.sampled_from(
+            list(itertools.combinations(range(len(effective.dims)), 2))))
+        forced = degeneration_tree(effective, first_pair=pair)
+        reference = degeneration_tree(base)
+        assert (forced.degree, forced.genus) == (reference.degree, reference.genus)
+        check_witness(effective, node_table(forced))
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases())
+    def test_speciality_nonnegative_on_span(self, base):
+        report = classify(base)
+        assert report.h1 == report.span - report.degree + 2 * report.genus - 1
+        assert report.h1 >= 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases())
+    def test_restrict_to_span_idempotent(self, base):
+        effective = restrict_to_span(base)
+        assert satisfies_is(effective) and is_nondegenerate(effective)
+        assert restrict_to_span(effective) == effective
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases(), st.data())
+    def test_separate_join_round_trip(self, base, data):
+        pairs = [(i, j) for i, j in itertools.combinations(range(len(base.dims)), 2)
+                 if base.dims[i] + base.dims[j] == base.ambient]
+        assume(pairs)
+        i, j = data.draw(st.sampled_from(pairs))
+        lifted = separate(base, i, j)
+        low = lifted.dims.index(base.dims[i])
+        high = lifted.dims.index(base.dims[j], low + 1)
+        back = join(lifted, low, high)
+        assert back.m == 0
+        assert back.ddot == base

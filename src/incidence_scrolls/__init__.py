@@ -20,6 +20,7 @@ from .closed_forms import ClosedFormRecord, TableRow, p1s, p2s, p3s, table
 from .grassmann import intersection_number, product_of_specials, render
 from .invariants import (
     DegenerationNode,
+    DegenerationTooDeepError,
     ScrollReport,
     UnresolvedDegenerationError,
     classify,
@@ -38,7 +39,8 @@ __all__ = [
     "canonicalize", "conditions_count", "enumerate_bases", "format_base",
     "is_nondegenerate", "join", "parse_base", "restrict_to_span", "satisfies_is",
     "separate",
-    "DegenerationNode", "ScrollReport", "UnresolvedDegenerationError",
+    "DegenerationNode", "DegenerationTooDeepError", "ScrollReport",
+    "UnresolvedDegenerationError",
     "classify", "degeneration_tree", "degree", "directrix_degree", "genus",
     "kappa", "node_table", "speciality",
     "ClosedFormRecord", "TableRow", "p1s", "p2s", "p3s", "table",

@@ -9,7 +9,11 @@ Exit codes: 0 success, 2 invalid input or an unreadable or unwritable cache
 file, 3 engine gave up on a degeneration (not observed on any known base),
 4 a cross-check of the engine's results failed, such as the ring degree
 against the degeneration witness or a join yielding a base that does not
-impose 2n-3 conditions (not observed either).  The checks also run under
+impose 2n-3 conditions (not observed either), 5 the genus recursion of a
+base is deeper than the interpreter's recursion limit (the line family
+{P^1, (n-1) P^(n-2)} from n of about 500), 141 the reader of stdout exited
+before reading all the output, as in `scrolls ... | head` (the status a
+shell reports for a process killed by SIGPIPE).  The checks also run under
 python -O.
 """
 
@@ -28,6 +32,7 @@ from . import closed_forms
 from .bases import IncidenceBase, enumerate_bases, format_base, satisfies_is
 from .grassmann import product_of_specials, render
 from .invariants import (
+    DegenerationTooDeepError,
     InvariantError,
     ScrollReport,
     UnresolvedDegenerationError,
@@ -312,10 +317,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so that a reader that exits early is seen by this handler;
+        # stdout is None when the process starts with it closed
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at interpreter exit
+        # cannot fail again and print a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except UnresolvedDegenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except DegenerationTooDeepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

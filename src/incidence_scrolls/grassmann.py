@@ -9,6 +9,7 @@ of codimension n - 1 - h.  All coefficients are exact Python integers.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 
@@ -38,12 +39,23 @@ def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]
 
 
 def intersection_number(n: int, hs: Iterable[int]) -> int:
-    """Coefficient of the point class w(0, 1) in a zero-dimensional product."""
-    hs = list(hs)
+    """Coefficient of the point class w(0, 1) in a zero-dimensional product.
+
+    The product is commutative, so the answer is memoized on n and the
+    sorted multiset of hs; degree, directrix degrees and kappa share it.
+    """
+    hs = tuple(sorted(hs))
     total = sum(n - 1 - h for h in hs)
     if total != 2 * (n - 1):
         raise ValueError(
             f"total codimension {total} != dim G(1,{n}) = {2 * (n - 1)}")
+    return _point_coefficient(n, hs)
+
+
+@functools.cache
+def _point_coefficient(n: int, hs: tuple[int, ...]) -> int:
+    # only the int is stored: product_of_specials hands out a fresh dict, and
+    # a range error is raised again on every call because it is never cached
     return product_of_specials(n, hs).get((0, 1), 0)
 
 

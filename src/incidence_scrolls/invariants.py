@@ -11,6 +11,7 @@ whose repeated sub-bases are shared.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +31,10 @@ from .grassmann import intersection_number
 
 class UnresolvedDegenerationError(RuntimeError):
     """No admissible pair was found while degenerating a base (never observed)."""
+
+
+class DegenerationTooDeepError(RuntimeError):
+    """The genus recursion of a base went deeper than the interpreter allows."""
 
 
 def _require_is(base: IncidenceBase) -> None:
@@ -149,9 +154,14 @@ def degeneration_tree(base: IncidenceBase,
     other witness that reaches the same canonical base.
     """
     base = canonicalize(base)
-    if first_pair is None:
-        return _tree(base.ambient, base.dims, None)
-    return _tree.__wrapped__(base.ambient, base.dims, first_pair)
+    try:
+        if first_pair is None:
+            return _tree(base.ambient, base.dims, None)
+        return _tree.__wrapped__(base.ambient, base.dims, first_pair)
+    except RecursionError:
+        raise DegenerationTooDeepError(
+            f"degeneration of {format_base(base)} recurses deeper than the "
+            f"interpreter's limit of {sys.getrecursionlimit()} frames") from None
 
 
 def node_table(root: DegenerationNode) -> dict:

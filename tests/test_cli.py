@@ -1,9 +1,13 @@
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import incidence_scrolls
 from incidence_scrolls import invariants
 from incidence_scrolls.cli import main
 
@@ -12,6 +16,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process(*argv, **kwargs):
+    """Start the command line in a fresh interpreter on this checkout."""
+    src = str(Path(incidence_scrolls.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "incidence_scrolls.cli", *argv],
+                            env=env, **kwargs)
 
 
 def body_rows(out):
@@ -203,6 +216,37 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert "disagrees" in err
+
+    def test_recursion_too_deep(self, capsys):
+        # the line family recurses once per ambient dimension, two frames a level
+        n = 600
+        dims = ",".join(["1"] + [str(n - 2)] * (n - 1))
+        code, out, err = run(capsys, "analyze", "-n", str(n), "--base", dims)
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert f"degeneration of n={n} dims={dims} recurses deeper" in err
+
+    def test_reader_exits_early(self):
+        # enumerate -n 12 prints ~140 kB of json, more than a pipe buffers, so
+        # the writer is still writing when the pipe is closed
+        proc = cli_process("enumerate", "-n", "12", "--format", "json",
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"[\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
+
+    def test_stdout_closed_at_start(self):
+        proc = cli_process("enumerate", "-n", "3", stderr=subprocess.PIPE,
+                           preexec_fn=lambda: os.close(1))
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
 
 
 class TestCache:

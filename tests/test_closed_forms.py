@@ -9,6 +9,29 @@ def B(ambient, *dims):
     return IncidenceBase(ambient, dims)
 
 
+def plane_records(max_n):
+    for n in range(4, max_n + 1):
+        for i in range(0, n // 2 + 1):
+            yield p2s(n, i)
+
+
+def solid_records(max_n):
+    for n in range(5, max_n + 1):
+        for j in range(0, (n + 1) // 3 + 1):
+            for i in range(0, (n + 1 - 3 * j) // 2 + 1):
+                yield p3s(n, j, i)
+
+
+def assert_engine_agrees(record):
+    """Degree, genus and the fixed space's directrix degree match the engine."""
+    report = classify(record.base)
+    assert (report.degree, report.genus) == (record.degree, record.genus)
+    if not record.degenerate:
+        fixed_dim = {"p2s": 2, "p3s": 3}[record.family]
+        assert dict((a, d) for a, d, _ in report.directrix)[fixed_dim] == \
+            record.directrix_degree
+
+
 class TestBinom:
     def test_usual(self):
         assert binom(5, 2) == 10
@@ -72,15 +95,8 @@ class TestPlaneFamily:
         assert (record.degree, record.genus) == (2, 0)
 
     def test_engine_agreement(self):
-        for n in range(4, 13):
-            for i in range(0, n // 2 + 1):
-                record = p2s(n, i)
-                report = classify(record.base)
-                assert report.degree == record.degree
-                assert report.genus == record.genus
-                if not record.degenerate:
-                    assert dict((a, d) for a, d, _ in report.directrix)[2] == \
-                        record.directrix_degree
+        for record in plane_records(12):
+            assert_engine_agrees(record)
 
     def test_embeds_in_next_family(self):
         # pushing the plane and one P^{n-2} into a hyperplane recovers the
@@ -139,16 +155,8 @@ class TestSolidFamily:
                     assert record.genus == g_fn(i, j)
 
     def test_engine_agreement(self):
-        for n in range(5, 13):
-            for j in range(0, (n + 1) // 3 + 1):
-                for i in range(0, (n + 1 - 3 * j) // 2 + 1):
-                    record = p3s(n, j, i)
-                    report = classify(record.base)
-                    assert report.degree == record.degree
-                    assert report.genus == record.genus
-                    if not record.degenerate:
-                        assert dict((a, d) for a, d, _ in report.directrix)[3] \
-                            == record.directrix_degree
+        for record in solid_records(12):
+            assert_engine_agrees(record)
 
     def test_range(self):
         with pytest.raises(ValueError):
@@ -196,3 +204,11 @@ class TestTables:
     def test_bad_id(self):
         with pytest.raises(ValueError):
             table(4)
+
+
+def test_engine_agreement_to_20():
+    # acceptance criterion 4 stops at n = 12; this runs both families to n = 20
+    records = [*plane_records(20), *solid_records(20)]
+    assert len(records) == 505
+    for record in records:
+        assert_engine_agrees(record)

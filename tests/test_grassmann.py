@@ -1,12 +1,17 @@
 import itertools
 import random
+import sys
+from collections import defaultdict
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from incidence_scrolls import grassmann, invariants
+from incidence_scrolls.bases import enumerate_bases
 from incidence_scrolls.grassmann import intersection_number, product_of_specials, render
+from incidence_scrolls.invariants import classify, node_table
 
 
 def pieri_oracle(n, hs):
@@ -174,6 +179,80 @@ class TestIntersectionNumber:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             intersection_number(4, [2, 2])
+
+
+class TestKernelMemo:
+    def test_any_order_and_generator(self):
+        hs = [2, 3, 4, 4, 3, 4]
+        for order in itertools.permutations(hs):
+            assert intersection_number(6, order) == 7
+            assert intersection_number(6, iter(order)) == 7
+        assert grassmann._point_coefficient.cache_info().currsize == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_shuffled(self, data):
+        n = data.draw(st.integers(2, 8))
+        hs = data.draw(st.lists(st.integers(0, n - 2), max_size=n))
+        missing = 2 * (n - 1) - sum(n - 1 - h for h in hs)
+        assume(missing >= 0)
+        hs += [n - 2] * missing  # hyperplane classes fill up to a point
+        expected = pieri_oracle(n, hs).get((0, 1), 0)
+        assert intersection_number(n, data.draw(st.permutations(hs))) == expected
+        assert intersection_number(n, data.draw(st.permutations(hs))) == expected
+
+    def test_invalid_input_raises_with_a_warm_cache(self):
+        assert intersection_number(4, [2] * 6) == 5
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                intersection_number(4, [3] + [2] * 6)  # h = n - 1, codimension 0
+            with pytest.raises(ValueError):
+                intersection_number(4, [-1, 2, 2])  # h < 0, codimension n
+            with pytest.raises(ValueError):
+                intersection_number(4, [2] * 5)
+        assert intersection_number(2, [0, 0]) == 1  # one line through two points
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                intersection_number(1, [])
+        assert grassmann._point_coefficient.cache_info().currsize == 2
+
+    def test_product_dicts_do_not_reach_the_cache(self):
+        hs = [2, 3, 3, 3, 3, 3, 3]
+        product_of_specials(5, hs)[(0, 1)] = 0  # before the cache holds hs
+        assert intersection_number(5, hs) == 9
+        product_of_specials(5, sorted(hs)).clear()  # and after
+        assert intersection_number(5, hs) == 9
+        assert product_of_specials(5, hs) == {(0, 1): 9}
+
+    def test_classify_cold_equals_warm(self):
+        bases = enumerate_bases(9)
+        warm = [classify(base) for base in bases]
+        cold = []
+        for base in bases:
+            invariants._tree.cache_clear()
+            grassmann._point_coefficient.cache_clear()
+            cold.append(classify(base))
+        assert cold == warm
+        assert [node_table(r.tree) for r in cold] == [node_table(r.tree) for r in warm]
+
+    def test_one_cache_serves_every_caller(self, monkeypatch):
+        asked = defaultdict(set)  # caller name -> keys it asked for
+
+        def recording(n, hs):
+            hs = list(hs)
+            asked[sys._getframe(1).f_code.co_name].add((n, tuple(sorted(hs))))
+            return intersection_number(n, hs)
+
+        monkeypatch.setattr(invariants, "intersection_number", recording)
+        for base in enumerate_bases(8):
+            classify(base)
+        info = grassmann._point_coefficient.cache_info()
+        assert info.hits > 0
+        assert set(asked) == {"degree", "directrix_degree", "kappa"}
+        keys = set().union(*asked.values())
+        assert info.misses == info.currsize == len(keys)
+        # some multisets are asked for by two different callers
+        assert sum(len(k) for k in asked.values()) > len(keys)
 
 
 class TestCatalanOracle:

@@ -27,7 +27,6 @@ from .invariants import (
     degeneration_tree,
     degree,
     directrix_degree,
-    genus,
     kappa,
     node_table,
     speciality,
@@ -41,7 +40,7 @@ __all__ = [
     "separate",
     "DegenerationNode", "DegenerationTooDeepError", "ScrollReport",
     "UnresolvedDegenerationError",
-    "classify", "degeneration_tree", "degree", "directrix_degree", "genus",
-    "kappa", "node_table", "speciality",
+    "classify", "degeneration_tree", "degree", "directrix_degree", "kappa",
+    "node_table", "speciality",
     "ClosedFormRecord", "TableRow", "p1s", "p2s", "p3s", "table",
 ]

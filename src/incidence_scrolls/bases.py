@@ -7,9 +7,8 @@ generic, so no coordinates are kept.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class EmptyIncidenceError(ValueError):
@@ -44,7 +43,7 @@ class IncidenceBase:
 
 
 def format_base(base: IncidenceBase) -> str:
-    """Text form "n=6 dims=2,3,3,4,4" used by the CLI and the cache file."""
+    """Text form "n=6 dims=2,3,3,4,4" used by the CLI and the witness rows."""
     return f"n={base.ambient} dims={','.join(map(str, base.dims))}"
 
 
@@ -80,9 +79,10 @@ def is_nondegenerate(base: IncidenceBase) -> bool:
     """Every pair of base spaces spans the ambient: d_i + d_j >= ambient - 1.
 
     A failing pair lies in a hyperplane, hence so does the swept scroll.
+    The dims are sorted, so the two smallest spaces decide.
     """
-    return all(x + y >= base.ambient - 1
-               for x, y in itertools.combinations(base.dims, 2))
+    dims = base.dims
+    return len(dims) < 2 or dims[0] + dims[1] >= base.ambient - 1
 
 
 def canonicalize(base: IncidenceBase) -> IncidenceBase:
@@ -149,25 +149,15 @@ def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
 
     While some pair of base spaces fails to span the ambient, the whole
     scroll lives in the span P^s of that pair (s = d_i + d_j + 1); every
-    other base space is replaced by its generic trace on that span.
+    other base space is replaced by its generic trace on that span.  The
+    pair taken is the two smallest spaces, whose span is the smallest.
     Idempotent once the result is nondegenerate.
     """
     current = canonicalize(base)
-    while True:
-        worst: Optional[tuple[int, int, int]] = None
-        for x, y in itertools.combinations(current.dims, 2):
-            if x + y <= current.ambient - 2:
-                cand = (x + y, x, y)
-                if worst is None or cand < worst:
-                    worst = cand
-        if worst is None:
-            return current
-        pair_sum, x, y = worst
-        span = pair_sum + 1
+    while not is_nondegenerate(current):
+        x, y, *rest = current.dims
+        span = x + y + 1
         delta = current.ambient - span
-        rest = list(current.dims)
-        rest.remove(x)
-        rest.remove(y)
         shrunk = [d - delta for d in rest]
         if any(d < 0 for d in shrunk):
             raise EmptyIncidenceError(
@@ -175,6 +165,7 @@ def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
                 f"empty configuration")
         current = canonicalize(IncidenceBase(span, (x, y, *shrunk)))
         _require_result_is(current, "restrict_to_span")
+    return current
 
 
 def _dims_summing_to(n: int, remaining: int, min_dim: int) -> Iterator[tuple[int, ...]]:

@@ -5,16 +5,15 @@ products of special Schubert classes on the Grassmannian of lines G(1,n).
 (or, in json, one row) per distinct sub-base, children before parents and
 the root last; `invariants.node_table` defines the rows.
 
-Exit codes: 0 success, 2 invalid input or an unreadable or unwritable cache
-file, 3 engine gave up on a degeneration (not observed on any known base),
-4 a cross-check of the engine's results failed, such as the ring degree
-against the degeneration witness or a join yielding a base that does not
-impose 2n-3 conditions (not observed either), 5 the genus recursion of a
-base is deeper than the interpreter's recursion limit (the line family
-{P^1, (n-1) P^(n-2)} from n of about 500), 141 the reader of stdout exited
-before reading all the output, as in `scrolls ... | head` (the status a
-shell reports for a process killed by SIGPIPE).  The checks also run under
-python -O.
+Exit codes: 0 success, 2 invalid input, 3 engine gave up on a degeneration
+(not observed on any known base), 4 a cross-check of the engine's results
+failed, such as the ring degree against the degeneration witness or a join
+yielding a base that does not impose 2n-3 conditions (not observed either),
+5 the genus recursion of a base is deeper than the interpreter's recursion
+limit (the line family {P^1, (n-1) P^(n-2)} from n of about 500), 141 the
+reader of stdout exited before reading all the output, as in
+`scrolls ... | head` (the status a shell reports for a process killed by
+SIGPIPE).  The checks also run under python -O.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import io
 import json
 import os
 import sys
-import tempfile
-from pathlib import Path
 
 from . import closed_forms
 from .bases import IncidenceBase, enumerate_bases, format_base, satisfies_is
@@ -42,7 +39,6 @@ from .invariants import (
 )
 
 SOFT_AMBIENT_CAP = 12
-CACHE_HEADER = "# incidence-scrolls cache v1"
 
 
 def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
@@ -84,66 +80,6 @@ def _report_row(report: ScrollReport) -> dict:
 REPORT_COLUMNS = ["base", "span", "degree", "genus", "h1", "special", "directrix"]
 
 
-def _load_cache(path: Path) -> dict[str, tuple[int, int]]:
-    entries: dict[str, tuple[int, int]] = {}
-    try:
-        lines = path.read_text().splitlines()
-    except FileNotFoundError:
-        return entries
-    except OSError as exc:
-        raise ValueError(f"cannot read cache file {path}: {exc.strerror}") from exc
-    if not lines or lines[0] != CACHE_HEADER:
-        raise ValueError(f"unrecognized cache file {path}")
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            fields = dict(part.split("=", 1) for part in line.split())
-            key = f"n={fields['n']} dims={fields['dims']}"
-            entries[key] = (int(fields["degree"]), int(fields["genus"]))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed cache line {line!r} in {path}") from exc
-    return entries
-
-
-def _save_cache(path: Path, entries: dict[str, tuple[int, int]]) -> None:
-    lines = [CACHE_HEADER]
-    lines += [f"{key} degree={d} genus={g}" for key, (d, g) in sorted(entries.items())]
-    # write a sibling temp file and rename it over the old one, so a failed
-    # write never leaves the cache half-written
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                                   suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        if tmp is not None:
-            os.unlink(tmp)
-        raise ValueError(f"cannot write cache file {path}: {exc.strerror}") from exc
-
-
-def _with_cache(reports: list[ScrollReport], cache_path: str | None) -> None:
-    """Check computed invariants against a cache file and write it back.
-
-    Cached values never replace a computation, so runs with and without a
-    cache are byte-identical; a stale or corrupt entry fails loudly.
-    """
-    if cache_path is None:
-        return
-    path = Path(cache_path)
-    entries = _load_cache(path)
-    for report in reports:
-        key = format_base(report.base)
-        value = (report.degree, report.genus)
-        if key in entries and entries[key] != value:
-            raise ValueError(
-                f"cache entry {key} -> {entries[key]} disagrees with computed {value}")
-        entries[key] = value
-    _save_cache(path, entries)
-
-
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -167,7 +103,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     reports = [classify(base) for base in bases]
     if args.genus is not None:
         reports = [r for r in reports if r.genus == args.genus]
-    _with_cache(reports, args.cache)
     print(_render_rows([_report_row(r) for r in reports], REPORT_COLUMNS, args.format))
     return 0
 
@@ -192,7 +127,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(
             f"conditions={conditions_count(base)}, required {2 * base.ambient - 3}")
     report = classify(base)
-    _with_cache([report], args.cache)
     if args.format == "json":
         print(json.dumps(report.to_dict(include_tree=args.tree), indent=2))
     else:
@@ -252,7 +186,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    l, n = _parse_dims(args.grassmann)
+    pair = _parse_dims(args.grassmann)
+    if len(pair) != 2:
+        raise ValueError(f"--grassmann must be l,n, got {args.grassmann!r}")
+    l, n = pair
     if l != 1:
         raise ValueError(
             f"products of special cycles are exposed for lines only, got l={l}")
@@ -284,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--genus", type=int, default=None)
     p_enum.add_argument("--force", action="store_true",
                         help="lift the soft ambient cap")
-    p_enum.add_argument("--cache", default=None)
     add_common(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
@@ -294,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated base dimensions, e.g. 2,3,3,3,3,3")
     p_analyze.add_argument("--tree", action="store_true",
                            help="include the degeneration witness")
-    p_analyze.add_argument("--cache", default=None)
     add_common(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -10,6 +10,7 @@ whose repeated sub-bases are shared.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import sys
 from dataclasses import dataclass, field
@@ -95,17 +96,22 @@ class DegenerationNode:
 
 
 def _choose_pair(base: IncidenceBase) -> tuple[int, int]:
-    """Deterministic join pair: minimal m, then smallest dimension pair."""
-    n = base.ambient
+    """Deterministic join pair: minimal m, then smallest dimension pair.
+
+    The dims are sorted, so each distinct dimension is tried once, at its
+    first index i, with its smallest admissible partner: the first j > i
+    with dims[j] >= n - 1 - dims[i].  Ties go to the smallest (i, j).
+    """
+    n, dims = base.ambient, base.dims
     best = None
-    for i in range(len(base.dims)):
-        for j in range(i + 1, len(base.dims)):
-            m = base.dims[i] + base.dims[j] - n + 1
-            if m < 0:
-                continue
-            cand = (m, base.dims[i], base.dims[j])
+    i = 0
+    while i < len(dims):
+        j = bisect.bisect_left(dims, n - 1 - dims[i], i + 1)
+        if j < len(dims):
+            cand = (dims[i] + dims[j] - n + 1, dims[i], dims[j])
             if best is None or cand < best[0]:
                 best = (cand, (i, j))
+        i = bisect.bisect_right(dims, dims[i], i)
     if best is None:
         raise UnresolvedDegenerationError(
             f"no admissible join pair for {format_base(base)}")
@@ -195,12 +201,6 @@ def node_table(root: DegenerationNode) -> dict:
         return ids[key]
 
     return {"root": visit(root), "nodes": nodes}
-
-
-def genus(base: IncidenceBase) -> tuple[int, DegenerationNode]:
-    """Genus of the scroll together with its degeneration witness."""
-    node = degeneration_tree(base)
-    return node.genus, node
 
 
 def directrix_degree(base: IncidenceBase, which: int) -> int:

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incidence_scrolls.bases import (
     EmptyIncidenceError,
@@ -16,10 +18,82 @@ from incidence_scrolls.bases import (
     satisfies_is,
     separate,
 )
+from incidence_scrolls.invariants import UnresolvedDegenerationError, _choose_pair
 
 
 def B(ambient, *dims):
     return IncidenceBase(ambient, dims)
+
+
+@st.composite
+def random_bases(draw, max_n=20):
+    """A base of P^n, n <= max_n, built one space at a time from its cost."""
+    n = draw(st.integers(3, max_n))
+    remaining = 2 * n - 3
+    dims = []
+    while remaining:
+        d = draw(st.integers(max(0, n - 1 - remaining), n - 2))
+        dims.append(d)
+        remaining -= n - 1 - d
+    return IncidenceBase(n, tuple(dims))
+
+
+def nondegenerate_oracle(base):
+    """Every pair of base spaces spans the ambient, trying every pair."""
+    return all(x + y >= base.ambient - 1
+               for x, y in itertools.combinations(base.dims, 2))
+
+
+def restriction_pair_oracle(base):
+    """Dimensions of the failing pair with the smallest span, or None."""
+    failing = [(x + y, x, y) for x, y in itertools.combinations(base.dims, 2)
+               if x + y <= base.ambient - 2]
+    return min(failing)[1:] if failing else None
+
+
+def restrict_oracle(base):
+    """restrict_to_span by all-pairs scans; None for an empty configuration."""
+    current = canonicalize(base)
+    while (pair := restriction_pair_oracle(current)) is not None:
+        x, y = pair
+        rest = list(current.dims)
+        rest.remove(x)
+        rest.remove(y)
+        span = x + y + 1
+        shrunk = [d - (current.ambient - span) for d in rest]
+        if any(d < 0 for d in shrunk):
+            return None
+        current = canonicalize(IncidenceBase(span, (x, y, *shrunk)))
+    return current
+
+
+def join_pair_oracle(base):
+    """Indices of the pair with minimal (m, d_i, d_j), the first (i, j) on
+    ties, trying every pair; None when no pair has m >= 0."""
+    n = base.ambient
+    best = None
+    for i, j in itertools.combinations(range(len(base.dims)), 2):
+        cand = (base.dims[i] + base.dims[j] - n + 1, base.dims[i], base.dims[j])
+        if cand[0] >= 0 and (best is None or cand < best[0]):
+            best = (cand, (i, j))
+    return None if best is None else best[1]
+
+
+def assert_pair_rules_agree(base):
+    """The rules read off the sorted dims give what the all-pairs scans give."""
+    assert is_nondegenerate(base) == nondegenerate_oracle(base)
+    assert restriction_pair_oracle(base) in (None, base.dims[:2])
+    try:
+        restricted = restrict_to_span(base)
+    except EmptyIncidenceError:
+        restricted = None
+    assert restricted == restrict_oracle(base)
+    expected = join_pair_oracle(base)
+    if expected is None:
+        with pytest.raises(UnresolvedDegenerationError):
+            _choose_pair(base)
+    else:
+        assert _choose_pair(base) == expected
 
 
 def brute_force_bases(n):
@@ -65,6 +139,19 @@ class TestNondegeneracy:
 
     def test_table_row(self):
         assert is_nondegenerate(B(6, 2, 3, 3, 4, 4))
+
+
+class TestPairRulesAgainstAllPairs:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_every_base(self, n):
+        # points and degenerate bases included
+        for base in enumerate_bases(n):
+            assert_pair_rules_agree(base)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_bases())
+    def test_random_bases(self, base):
+        assert_pair_rules_agree(base)
 
 
 class TestEnumeration:

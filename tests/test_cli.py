@@ -1,4 +1,3 @@
-import errno
 import json
 import os
 import subprocess
@@ -207,6 +206,14 @@ class TestProduct:
         assert code == 2
         assert out == "" and err
 
+    @pytest.mark.parametrize("grassmann", ["1", "1,5,2"])
+    def test_grassmann_needs_two_values(self, capsys, grassmann):
+        code, out, err = run(capsys, "product", "--grassmann", grassmann,
+                             "--specials", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --grassmann must be l,n, got {grassmann!r}\n"
+
 
 class TestExitCodes:
     def test_invariant_error(self, capsys, monkeypatch):
@@ -242,93 +249,17 @@ class TestExitCodes:
             proc.stderr.close()
         assert err == b""
 
+    @pytest.mark.parametrize("argv", [["enumerate", "-n", "3"],
+                                      ["analyze", "-n", "3", "--base", "1,1,1"]])
+    def test_cache_option_is_gone(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cache", str(tmp_path / "cache.txt")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_stdout_closed_at_start(self):
         proc = cli_process("enumerate", "-n", "3", stderr=subprocess.PIPE,
                            preexec_fn=lambda: os.close(1))
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
-
-
-class TestCache:
-    def test_write_and_reuse(self, capsys, tmp_path):
-        cache = tmp_path / "cache.txt"
-        first = run(capsys, "enumerate", "-n", "5", "--cache", str(cache))
-        assert first[0] == 0
-        text = cache.read_text()
-        assert text.startswith("# incidence-scrolls cache v1\n")
-        assert "n=5 dims=3,3,3,3,3,3,3 degree=14 genus=8" in text
-        second = run(capsys, "enumerate", "-n", "5", "--cache", str(cache))
-        assert second == first  # cached run is byte-identical
-
-    def test_accumulates(self, capsys, tmp_path):
-        cache = tmp_path / "cache.txt"
-        run(capsys, "analyze", "-n", "3", "--base", "1,1,1",
-            "--cache", str(cache))
-        run(capsys, "analyze", "-n", "4", "--base", "1,2,2,2",
-            "--cache", str(cache))
-        lines = cache.read_text().splitlines()
-        assert len(lines) == 3
-
-    def test_stale_entry_fails_loudly(self, capsys, tmp_path):
-        cache = tmp_path / "cache.txt"
-        cache.write_text("# incidence-scrolls cache v1\n"
-                         "n=3 dims=1,1,1 degree=7 genus=0\n")
-        code, _, err = run(capsys, "analyze", "-n", "3", "--base", "1,1,1",
-                           "--cache", str(cache))
-        assert code == 2
-        assert "disagrees" in err
-
-    def test_foreign_file_rejected(self, capsys, tmp_path):
-        cache = tmp_path / "cache.txt"
-        cache.write_text("not a cache\n")
-        code, _, err = run(capsys, "analyze", "-n", "3", "--base", "1,1,1",
-                           "--cache", str(cache))
-        assert code == 2
-        assert "unrecognized" in err
-
-    def test_missing_field_rejected(self, capsys, tmp_path):
-        cache = tmp_path / "cache.txt"
-        cache.write_text("# incidence-scrolls cache v1\na=1\n")
-        code, _, err = run(capsys, "analyze", "-n", "3", "--base", "1,1,1",
-                           "--cache", str(cache))
-        assert code == 2
-        assert "malformed cache line 'a=1'" in err
-
-    def test_missing_directory_rejected(self, capsys, tmp_path):
-        cache = tmp_path / "absent" / "cache.txt"
-        code, out, err = run(capsys, "enumerate", "-n", "3", "--cache", str(cache))
-        assert code == 2
-        assert out == ""
-        assert "cannot write cache file" in err
-
-    def test_directory_rejected(self, capsys, tmp_path):
-        code, _, err = run(capsys, "analyze", "-n", "3", "--base", "1,1,1",
-                           "--cache", str(tmp_path))
-        assert code == 2
-        assert "cannot read cache file" in err
-
-    def test_failed_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "cache.txt"
-        run(capsys, "analyze", "-n", "3", "--base", "1,1,1", "--cache", str(cache))
-        before = cache.read_bytes()
-        real_fdopen = os.fdopen
-
-        def fdopen_on_full_disk(fd, *args, **kwargs):
-            handle = real_fdopen(fd, *args, **kwargs)
-
-            def write(text):
-                real_write(text[:len(text) // 2])
-                handle.flush()
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-            real_write = handle.write
-            handle.write = write
-            return handle
-
-        monkeypatch.setattr(os, "fdopen", fdopen_on_full_disk)
-        code, _, err = run(capsys, "analyze", "-n", "4", "--base", "1,2,2,2",
-                           "--cache", str(cache))
-        assert code == 2
-        assert "cannot write cache file" in err and "No space left" in err
-        assert cache.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [cache]

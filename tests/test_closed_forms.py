@@ -27,7 +27,7 @@ def assert_engine_agrees(record):
     report = classify(record.base)
     assert (report.degree, report.genus) == (record.degree, record.genus)
     if not record.degenerate:
-        fixed_dim = {"p2s": 2, "p3s": 3}[record.family]
+        fixed_dim = {"p1s": 1, "p2s": 2, "p3s": 3}[record.family]
         assert dict((a, d) for a, d, _ in report.directrix)[fixed_dim] == \
             record.directrix_degree
 
@@ -212,3 +212,10 @@ def test_engine_agreement_to_20():
     assert len(records) == 505
     for record in records:
         assert_engine_agrees(record)
+
+
+def test_engine_agreement_deep_line_family():
+    # the genus recursion of the line family is n levels deep
+    record = p1s(300)
+    assert (record.degree, record.genus, record.directrix_degree) == (299, 0, 1)
+    assert_engine_agrees(record)

@@ -29,7 +29,6 @@ from incidence_scrolls.invariants import (
     degeneration_tree,
     degree,
     directrix_degree,
-    genus,
     kappa,
     node_table,
     speciality,
@@ -150,15 +149,13 @@ class TestGenus:
         (B(6, 2, 3, 3, 4, 4), 1),
     ])
     def test_values(self, base, g):
-        value, node = genus(base)
-        assert value == g
-        assert node.genus == g
+        assert degeneration_tree(base).genus == g
 
     def test_degenerate_base(self):
         # {P^2, P^2, P^3, P^4} in P^6 spans only a P^5
-        value, node = genus(B(6, 2, 2, 3, 4))
+        node = degeneration_tree(B(6, 2, 2, 3, 4))
         assert node.action == "restrict"
-        assert value == genus(B(5, 2, 2, 2, 3))[0] == 0
+        assert node.genus == degeneration_tree(B(5, 2, 2, 2, 3)).genus == 0
 
 
 class TestDegenerationTree:

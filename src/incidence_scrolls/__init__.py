@@ -16,7 +16,6 @@ from .bases import (
     satisfies_is,
     separate,
 )
-from .closed_forms import ClosedFormRecord, TableRow, p1s, p2s, p3s, table
 from .grassmann import intersection_number, product_of_specials, render
 from .invariants import (
     DegenerationNode,
@@ -42,5 +41,4 @@ __all__ = [
     "UnresolvedDegenerationError",
     "classify", "degeneration_tree", "degree", "directrix_degree", "kappa",
     "node_table", "speciality",
-    "ClosedFormRecord", "TableRow", "p1s", "p2s", "p3s", "table",
 ]

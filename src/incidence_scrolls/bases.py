@@ -2,13 +2,16 @@
 
 A base is a multiset of linear-subspace dimensions inside a fixed projective
 ambient space.  The engine only ever needs the dimensions: all counts are
-generic, so no coordinates are kept.
+generic, so no coordinates are kept.  It works on plain (ambient, sorted
+dims) pairs, as an IncidenceBase is one, and checks a base once, where the
+public API receives it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Iterator
 
 
 class EmptyIncidenceError(ValueError):
@@ -25,26 +28,28 @@ class InvariantError(RuntimeError):
     """
 
 
-@dataclass(frozen=True, order=True)
-class IncidenceBase:
-    """Ambient projective dimension plus the sorted multiset of base dimensions."""
+class IncidenceBase(namedtuple("IncidenceBase", "ambient dims")):
+    """Ambient projective dimension plus the sorted multiset of base dimensions.
 
-    ambient: int
-    dims: tuple[int, ...]
+    `_make` skips the checks; the engine wraps only its own results with it.
+    """
 
-    def __post_init__(self) -> None:
-        if self.ambient < 2:
-            raise ValueError(f"ambient projective dimension must be >= 2, got {self.ambient}")
-        object.__setattr__(self, "dims", tuple(sorted(self.dims)))
-        for d in self.dims:
-            if not 0 <= d < self.ambient:
-                raise ValueError(
-                    f"base space dimension {d} out of range for P^{self.ambient}")
+    __slots__ = ()
+
+    def __new__(cls, ambient: int, dims) -> IncidenceBase:
+        if ambient < 2:
+            raise ValueError(f"ambient projective dimension must be >= 2, got {ambient}")
+        dims = tuple(sorted(dims))
+        for d in dims:
+            if not 0 <= d < ambient:
+                raise ValueError(f"base space dimension {d} out of range for P^{ambient}")
+        return super().__new__(cls, ambient, dims)
 
 
 def format_base(base: IncidenceBase) -> str:
     """Text form "n=6 dims=2,3,3,4,4" used by the CLI and the witness rows."""
-    return f"n={base.ambient} dims={','.join(map(str, base.dims))}"
+    ambient, dims = base
+    return f"n={ambient} dims={','.join(map(str, dims))}"
 
 
 def parse_base(text: str) -> IncidenceBase:
@@ -60,12 +65,13 @@ def parse_base(text: str) -> IncidenceBase:
 
 def conditions_count(base: IncidenceBase) -> int:
     """Number of linear conditions the base imposes on lines in its ambient."""
-    return sum(base.ambient - 1 - d for d in base.dims)
+    ambient, dims = base
+    return (ambient - 1) * len(dims) - sum(dims)
 
 
 def satisfies_is(base: IncidenceBase) -> bool:
     """True when the base cuts out a curve of lines: exactly 2n-3 conditions."""
-    return conditions_count(base) == 2 * base.ambient - 3
+    return conditions_count(base) == 2 * base[0] - 3
 
 
 def _require_result_is(base: IncidenceBase, step: str) -> None:
@@ -81,23 +87,40 @@ def is_nondegenerate(base: IncidenceBase) -> bool:
     A failing pair lies in a hyperplane, hence so does the swept scroll.
     The dims are sorted, so the two smallest spaces decide.
     """
-    dims = base.dims
-    return len(dims) < 2 or dims[0] + dims[1] >= base.ambient - 1
+    ambient, dims = base
+    return len(dims) < 2 or dims[0] + dims[1] >= ambient - 1
+
+
+def _canonical(ambient: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    # sorted dims: the hyperplanes, which impose no condition, come last
+    return dims[:bisect_left(dims, ambient - 1)]
 
 
 def canonicalize(base: IncidenceBase) -> IncidenceBase:
     """Drop hyperplane base spaces (they impose no condition); keep dims sorted."""
-    return IncidenceBase(base.ambient,
-                         tuple(d for d in base.dims if d < base.ambient - 1))
+    return IncidenceBase._make((base.ambient, _canonical(base.ambient, base.dims)))
 
 
-@dataclass(frozen=True)
-class JoinResult:
-    """Outcome of degenerating a pair of base spaces into a hyperplane."""
+JoinResult = namedtuple("JoinResult", "dot ddot m")
+JoinResult.__doc__ = "Outcome of degenerating a pair of base spaces into a hyperplane."
 
-    dot: IncidenceBase
-    ddot: IncidenceBase
-    m: int
+
+def _join(n: int, dims: tuple[int, ...], i: int, j: int) -> tuple[tuple, tuple, int]:
+    """Canonical dims of the two components, in P^n and P^(n-1), and m."""
+    if i == j:
+        raise ValueError("join needs two distinct base spaces")
+    i, j = min(i, j), max(i, j)
+    di, dj = dims[i], dims[j]
+    m = di + dj - n + 1
+    if m < 0:
+        raise ValueError(
+            f"P^{di} and P^{dj} already lie in a hyperplane of P^{n} generically")
+    others = dims[:i] + dims[i + 1:j] + dims[j + 1:]
+    if 0 in others:
+        raise ValueError("cannot push a point into the hyperplane")
+    dot = _canonical(n, tuple(sorted((*others, m))))
+    ddot = _canonical(n - 1, tuple(sorted((*[d - 1 for d in others], di, dj))))
+    return dot, ddot, m
 
 
 def join(base: IncidenceBase, i: int, j: int) -> JoinResult:
@@ -107,20 +130,9 @@ def join(base: IncidenceBase, i: int, j: int) -> JoinResult:
     intersection P^m) in the same ambient, and a component inside the
     hyperplane whose other spaces are cut down by one dimension.
     """
-    if i == j:
-        raise ValueError("join needs two distinct base spaces")
-    i, j = min(i, j), max(i, j)
     n = base.ambient
-    di, dj = base.dims[i], base.dims[j]
-    m = di + dj - n + 1
-    if m < 0:
-        raise ValueError(
-            f"P^{di} and P^{dj} already lie in a hyperplane of P^{n} generically")
-    others = tuple(d for k, d in enumerate(base.dims) if k not in (i, j))
-    if any(d == 0 for d in others):
-        raise ValueError("cannot push a point into the hyperplane")
-    dot = canonicalize(IncidenceBase(n, others + (m,)))
-    ddot = canonicalize(IncidenceBase(n - 1, tuple(d - 1 for d in others) + (di, dj)))
+    dot, ddot, m = _join(n, base.dims, i, j)
+    dot, ddot = IncidenceBase._make((n, dot)), IncidenceBase._make((n - 1, ddot))
     _require_result_is(dot, "join")
     _require_result_is(ddot, "join")
     return JoinResult(dot=dot, ddot=ddot, m=m)
@@ -144,6 +156,22 @@ def separate(base: IncidenceBase, i: int, j: int) -> IncidenceBase:
     return lifted
 
 
+def _restrict(ambient: int, dims: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(span, canonical dims) of the base re-expressed inside its span."""
+    current = (ambient, _canonical(ambient, dims))
+    while not is_nondegenerate(current):
+        n, (x, y, *rest) = current
+        span = x + y + 1
+        shrunk = [d - (n - span) for d in rest]
+        if any(d < 0 for d in shrunk):
+            raise EmptyIncidenceError(
+                f"no incidence scroll: {format_base((ambient, dims))} restricts "
+                f"to an empty configuration")
+        current = (span, _canonical(span, tuple(sorted((x, y, *shrunk)))))
+        _require_result_is(current, "restrict_to_span")
+    return current
+
+
 def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
     """Re-express a degenerate configuration inside the span of its scroll.
 
@@ -153,19 +181,7 @@ def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
     pair taken is the two smallest spaces, whose span is the smallest.
     Idempotent once the result is nondegenerate.
     """
-    current = canonicalize(base)
-    while not is_nondegenerate(current):
-        x, y, *rest = current.dims
-        span = x + y + 1
-        delta = current.ambient - span
-        shrunk = [d - delta for d in rest]
-        if any(d < 0 for d in shrunk):
-            raise EmptyIncidenceError(
-                f"no incidence scroll: {format_base(base)} restricts to an "
-                f"empty configuration")
-        current = canonicalize(IncidenceBase(span, (x, y, *shrunk)))
-        _require_result_is(current, "restrict_to_span")
-    return current
+    return IncidenceBase._make(_restrict(base.ambient, base.dims))
 
 
 def _dims_summing_to(n: int, remaining: int, min_dim: int) -> Iterator[tuple[int, ...]]:
@@ -192,10 +208,9 @@ def enumerate_bases(n: int, *, nondegenerate_only: bool = False,
         raise ValueError(f"need ambient n >= 3, got {n}")
     out = []
     for dims in _dims_summing_to(n, 2 * n - 3, 0):
-        base = IncidenceBase(n, dims)
-        if nondegenerate_only and (0 in dims or not is_nondegenerate(base)):
+        if nondegenerate_only and (0 in dims or not is_nondegenerate((n, dims))):
             continue
         if contains_dim is not None and contains_dim not in dims:
             continue
-        out.append(base)
+        out.append(IncidenceBase._make((n, dims)))
     return sorted(out)

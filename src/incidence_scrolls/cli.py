@@ -25,7 +25,6 @@ import json
 import os
 import sys
 
-from . import closed_forms
 from .bases import IncidenceBase, enumerate_bases, format_base, satisfies_is
 from .grassmann import product_of_specials, render
 from .invariants import (
@@ -37,8 +36,6 @@ from .invariants import (
     conditions_count,
     node_table,
 )
-
-SOFT_AMBIENT_CAP = 12
 
 
 def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
@@ -90,10 +87,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.ambient < 3:
         raise ValueError(f"need ambient n >= 3, got {args.ambient}")
-    if args.ambient > SOFT_AMBIENT_CAP and not args.force:
-        raise ValueError(
-            f"n={args.ambient} exceeds the interactive cap {SOFT_AMBIENT_CAP}; "
-            f"rerun with --force")
     bases = enumerate_bases(args.ambient,
                             nondegenerate_only=args.nondegenerate,
                             contains_dim=args.contains_dim)
@@ -141,6 +134,7 @@ TABLE_COLUMNS = ["scroll", "base", "degree", "genus", "directrix", "star",
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from . import closed_forms  # only this command reads the table fixtures
     rows = []
     deviations = 0
     for table_row in closed_forms.table(args.id):
@@ -220,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--contains-dim", type=int, default=None)
     p_enum.add_argument("--genus", type=int, default=None)
     p_enum.add_argument("--force", action="store_true",
-                        help="lift the soft ambient cap")
+                        help="accepted and ignored: enumerate has no ambient cap")
     add_common(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 

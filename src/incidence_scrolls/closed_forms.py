@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import comb
-from typing import Optional
 
 from .bases import (
     IncidenceBase,
@@ -42,10 +41,10 @@ class ClosedFormRecord:
     degree: int
     genus: int
     directrix_degree: int
-    i: Optional[int] = None
-    j: Optional[int] = None
+    i: int | None = None
+    j: int | None = None
     degenerate: bool = False
-    restricted: Optional[IncidenceBase] = None
+    restricted: IncidenceBase | None = None
     extras: dict = field(default_factory=dict)
 
 
@@ -135,55 +134,45 @@ class TableRow:
     star: bool
     printed_degree: int
     printed_genus: int
-    printed_directrix: Optional[int]  # None: the row prints no such curve
-    group: Optional[str] = None
-    min_dir: Optional[str] = None
-    note: Optional[str] = None
+    printed_directrix: int | None  # None: the row prints no such curve
+    note: str | None = None
 
 
-def _row(label, record, *, star=False, directrix=None, group=None,
-         min_dir=None, note=None) -> TableRow:
+def _row(label, record, *, star=False, directrix=None, note=None) -> TableRow:
     d, g = (int(p) for p in label.removeprefix("R^").split(" ")[0].split("_"))
     return TableRow(label=label, record=record, star=star,
                     printed_degree=d, printed_genus=g,
-                    printed_directrix=directrix, group=group,
-                    min_dir=min_dir, note=note)
+                    printed_directrix=directrix, note=note)
 
 
 def table(table_id: int) -> list[TableRow]:
     """The rows of one of the three published classification tables."""
     if table_id == 1:
-        rows = []
-        for n in range(3, 10):
-            record = p1s(n)
-            rows.append(_row(
-                f"R^{n - 1}_0 in P^{n}", record, directrix=1,
-                min_dir="P^1 (inf)" if n == 3 else "P^1 (1)"))
-        return rows
+        return [_row(f"R^{n - 1}_0 in P^{n}", p1s(n), directrix=1)
+                for n in range(3, 10)]
 
     if table_id == 2:
         # The n=3 quadric carries a plane directrix conic but no base plane;
         # it is the line-family scroll printed again.
         spec_rows = [
-            ("R^2_0 in P^3", p1s(3), False, None, "genus 0", "P^1 (inf)"),
-            ("R^3_0 in P^4", p2s(4, 1), False, 2, "genus 0", "P^1 (1)"),
-            ("R^4_0 in P^5", p2s(5, 2), False, 2, "genus 0", "C^2_0 (inf)"),
-            ("R^5_0 in P^6", p2s(6, 3), False, 2, "genus 0", "C^2_0 (1)"),
-            ("R^5_1 in P^4", p2s(4, 0), False, 3, "genus 1", "C^3_1 (inf)"),
-            ("R^6_1 in P^5", p2s(5, 1), False, 3, "genus 1", "C^3_1 (2)"),
-            ("R^7_1 in P^6", p2s(6, 2), False, 3, "genus 1", "C^3_1 (1)"),
-            ("R^8_1 in P^7", p2s(7, 3), False, 3, "genus 1", "C^3_1 (1)"),
-            ("R^9_1 in P^8", p2s(8, 4), False, 3, "genus 1", "C^3_1 (1)"),
-            ("R^9_3 in P^5", p2s(5, 0), True, 4, "genus 3", "C^4_3 (1)"),
-            ("R^10_3 in P^6", p2s(6, 1), True, 4, "genus 3", "C^4_3 (1)"),
-            ("R^11_3 in P^7", p2s(7, 2), True, 4, "genus 3", "C^4_3 (1)"),
-            ("R^12_3 in P^8", p2s(8, 3), True, 4, "genus 3", "C^4_3 (1)"),
-            ("R^13_3 in P^9", p2s(9, 4), True, 4, "genus 3", "C^4_3 (1)"),
-            ("R^14_3 in P^10", p2s(10, 5), True, 4, "genus 3", "C^4_3 (1)"),
+            ("R^2_0 in P^3", p1s(3), False, None),
+            ("R^3_0 in P^4", p2s(4, 1), False, 2),
+            ("R^4_0 in P^5", p2s(5, 2), False, 2),
+            ("R^5_0 in P^6", p2s(6, 3), False, 2),
+            ("R^5_1 in P^4", p2s(4, 0), False, 3),
+            ("R^6_1 in P^5", p2s(5, 1), False, 3),
+            ("R^7_1 in P^6", p2s(6, 2), False, 3),
+            ("R^8_1 in P^7", p2s(7, 3), False, 3),
+            ("R^9_1 in P^8", p2s(8, 4), False, 3),
+            ("R^9_3 in P^5", p2s(5, 0), True, 4),
+            ("R^10_3 in P^6", p2s(6, 1), True, 4),
+            ("R^11_3 in P^7", p2s(7, 2), True, 4),
+            ("R^12_3 in P^8", p2s(8, 3), True, 4),
+            ("R^13_3 in P^9", p2s(9, 4), True, 4),
+            ("R^14_3 in P^10", p2s(10, 5), True, 4),
         ]
-        return [_row(label, record, star=star, directrix=directrix,
-                     group=group, min_dir=min_dir)
-                for label, record, star, directrix, group, min_dir in spec_rows]
+        return [_row(label, record, star=star, directrix=directrix)
+                for label, record, star, directrix in spec_rows]
 
     if table_id == 3:
         # printed directrix degrees come from the "Directrix in P^3" column;

@@ -10,7 +10,7 @@ of codimension n - 1 - h.  All coefficients are exact Python integers.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+from collections.abc import Iterable
 
 
 def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]:
@@ -44,18 +44,17 @@ def intersection_number(n: int, hs: Iterable[int]) -> int:
     The product is commutative, so the answer is memoized on n and the
     sorted multiset of hs; degree, directrix degrees and kappa share it.
     """
-    hs = tuple(sorted(hs))
-    total = sum(n - 1 - h for h in hs)
-    if total != 2 * (n - 1):
-        raise ValueError(
-            f"total codimension {total} != dim G(1,{n}) = {2 * (n - 1)}")
-    return _point_coefficient(n, hs)
+    return _point_coefficient(n, tuple(sorted(hs)))
 
 
 @functools.cache
 def _point_coefficient(n: int, hs: tuple[int, ...]) -> int:
     # only the int is stored: product_of_specials hands out a fresh dict, and
-    # a range error is raised again on every call because it is never cached
+    # invalid input is raised again on every call because it is never cached
+    total = sum(n - 1 - h for h in hs)
+    if total != 2 * (n - 1):
+        raise ValueError(
+            f"total codimension {total} != dim G(1,{n}) = {2 * (n - 1)}")
     return product_of_specials(n, hs).get((0, 1), 0)
 
 

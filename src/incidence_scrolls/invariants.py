@@ -13,18 +13,18 @@ from __future__ import annotations
 import bisect
 import functools
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
 
 from .bases import (
     IncidenceBase,
     InvariantError,
+    _join,
+    _require_result_is,
+    _restrict,
     canonicalize,
     conditions_count,
     format_base,
     is_nondegenerate,
-    join,
-    restrict_to_span,
     satisfies_is,
 )
 from .grassmann import intersection_number
@@ -45,6 +45,17 @@ def _require_is(base: IncidenceBase) -> None:
             f"conditions={conditions_count(base)}, required {2 * base.ambient - 3}")
 
 
+def _checked(base: IncidenceBase) -> IncidenceBase:
+    """The canonical form of a base the public API was given."""
+    base = canonicalize(base)
+    _require_is(base)
+    return base
+
+
+def _degree(n: int, dims: tuple[int, ...]) -> int:
+    return intersection_number(n, dims + (n - 2,))
+
+
 def degree(base: IncidenceBase) -> int:
     """Degree of the scroll: the number of its generators meeting a hyperplane.
 
@@ -53,10 +64,21 @@ def degree(base: IncidenceBase) -> int:
     same multiple of the point class.  Valid for degenerate configurations
     as well; the product does not care where the scroll actually spans.
     """
-    base = canonicalize(base)
-    _require_is(base)
-    n = base.ambient
-    return intersection_number(n, base.dims + (n - 2,))
+    return _degree(*_checked(base))
+
+
+def _kappa(n: int, dims: tuple[int, ...], i: int, j: int) -> int:
+    di, dj = dims[i], dims[j]
+    m = di + dj - n + 1
+    if m < 0:
+        raise ValueError("pair admits no hyperplane specialization (m < 0)")
+    others = [d for k, d in enumerate(dims) if k not in (i, j)]
+    if 0 in others:
+        raise ValueError("cannot compute kappa with a point outside the pair")
+    value = intersection_number(n - 1, [m] + [d - 1 for d in others])
+    if value < 1:
+        raise InvariantError(f"kappa must be positive, got {value}")
+    return value
 
 
 def kappa(base: IncidenceBase, i: int, j: int) -> int:
@@ -67,32 +89,14 @@ def kappa(base: IncidenceBase, i: int, j: int) -> int:
     count is the corresponding intersection number one ambient down.
     """
     _require_is(base)
-    n = base.ambient
-    di, dj = base.dims[i], base.dims[j]
-    m = di + dj - n + 1
-    if m < 0:
-        raise ValueError("pair admits no hyperplane specialization (m < 0)")
-    others = [d for k, d in enumerate(base.dims) if k not in (i, j)]
-    if any(d == 0 for d in others):
-        raise ValueError("cannot compute kappa with a point outside the pair")
-    value = intersection_number(n - 1, [m] + [d - 1 for d in others])
-    if value < 1:
-        raise InvariantError(f"kappa must be positive, got {value}")
-    return value
+    return _kappa(base.ambient, base.dims, i, j)
 
 
-@dataclass(frozen=True)
-class DegenerationNode:
-    """One step of the genus recursion, with exact degree/genus bookkeeping."""
-
-    base: IncidenceBase
-    action: str  # "leaf" | "restrict" | "join"
-    degree: int
-    genus: int
-    pair: Optional[tuple[int, int]] = None  # dimensions of the joined pair
-    m: Optional[int] = None
-    kappa: Optional[int] = None
-    children: tuple["DegenerationNode", ...] = ()
+DegenerationNode = namedtuple(
+    "DegenerationNode", "base action degree genus pair m kappa children",
+    defaults=(None, None, None, ()))
+DegenerationNode.__doc__ = """One step of the genus recursion, with exact degree/genus
+bookkeeping; action is "leaf", "restrict" or "join", pair the joined dimensions."""
 
 
 def _choose_pair(base: IncidenceBase) -> tuple[int, int]:
@@ -102,7 +106,7 @@ def _choose_pair(base: IncidenceBase) -> tuple[int, int]:
     first index i, with its smallest admissible partner: the first j > i
     with dims[j] >= n - 1 - dims[i].  Ties go to the smallest (i, j).
     """
-    n, dims = base.ambient, base.dims
+    n, dims = base
     best = None
     i = 0
     while i < len(dims):
@@ -126,29 +130,39 @@ def _tree(ambient: int, dims: tuple[int, ...],
     A root with a forced first_pair is built by `_tree.__wrapped__`, outside
     the cache, while the bases it reduces to still come from the cache.
     """
-    base = IncidenceBase(ambient, dims)
-    _require_is(base)
+    # the public entries check every root and _restrict every base it makes,
+    # so a base failing here came out of a join
+    _require_result_is((ambient, dims), "join")
+    base = IncidenceBase._make((ambient, dims))
     if ambient <= 2 or 0 in dims:
         # a point in the base (or a planar ambient) sweeps a plane pencil
-        return DegenerationNode(base=base, action="leaf", degree=1, genus=0)
+        return DegenerationNode(base, "leaf", 1, 0)
     if not is_nondegenerate(base):
-        span = restrict_to_span(base)
-        child = _tree(span.ambient, span.dims, None)
-        return DegenerationNode(base=base, action="restrict",
-                                degree=child.degree, genus=child.genus,
+        child = _tree(*_restrict(ambient, dims), None)
+        return DegenerationNode(base, "restrict", child.degree, child.genus,
                                 children=(child,))
     i, j = first_pair if first_pair is not None else _choose_pair(base)
-    result = join(base, i, j)
-    shared = kappa(base, i, j)
-    if result.m == 0 and shared != 1:
+    dot_dims, ddot_dims, m = _join(ambient, dims, i, j)
+    shared = _kappa(ambient, dims, i, j)
+    if m == 0 and shared != 1:
         raise InvariantError(f"m=0 join must share one generator, got {shared}")
-    dot = _tree(result.dot.ambient, result.dot.dims, None)
-    ddot = _tree(result.ddot.ambient, result.ddot.dims, None)
-    return DegenerationNode(base=base, action="join",
-                            degree=dot.degree + ddot.degree,
-                            genus=dot.genus + ddot.genus + shared - 1,
-                            pair=(dims[i], dims[j]), m=result.m, kappa=shared,
-                            children=(dot, ddot))
+    dot = _tree(ambient, dot_dims, None)
+    ddot = _tree(ambient - 1, ddot_dims, None)
+    return DegenerationNode(base, "join", dot.degree + ddot.degree,
+                            dot.genus + ddot.genus + shared - 1,
+                            (dims[i], dims[j]), m, shared, (dot, ddot))
+
+
+def _witness(base: IncidenceBase,
+             first_pair: tuple[int, int] | None = None) -> DegenerationNode:
+    try:
+        if first_pair is None:
+            return _tree(*base, None)
+        return _tree.__wrapped__(*base, first_pair)
+    except RecursionError:
+        raise DegenerationTooDeepError(
+            f"degeneration of {format_base(base)} recurses deeper than the "
+            f"interpreter's limit of {sys.getrecursionlimit()} frames") from None
 
 
 def degeneration_tree(base: IncidenceBase,
@@ -159,15 +173,7 @@ def degeneration_tree(base: IncidenceBase,
     every subtree follows the deterministic rule and is shared with every
     other witness that reaches the same canonical base.
     """
-    base = canonicalize(base)
-    try:
-        if first_pair is None:
-            return _tree(base.ambient, base.dims, None)
-        return _tree.__wrapped__(base.ambient, base.dims, first_pair)
-    except RecursionError:
-        raise DegenerationTooDeepError(
-            f"degeneration of {format_base(base)} recurses deeper than the "
-            f"interpreter's limit of {sys.getrecursionlimit()} frames") from None
+    return _witness(_checked(base), first_pair)
 
 
 def node_table(root: DegenerationNode) -> dict:
@@ -203,6 +209,13 @@ def node_table(root: DegenerationNode) -> dict:
     return {"root": visit(root), "nodes": nodes}
 
 
+def _directrix_degree(n: int, dims: tuple[int, ...], which: int) -> int:
+    a = dims[which]
+    if a == 0:
+        raise ValueError("a point carries no directrix curve")
+    return intersection_number(n, dims[:which] + (a - 1,) + dims[which + 1:])
+
+
 def directrix_degree(base: IncidenceBase, which: int) -> int:
     """Degree of the curve the scroll cuts on base space number `which`.
 
@@ -210,12 +223,7 @@ def directrix_degree(base: IncidenceBase, which: int) -> int:
     of generators meeting a generic hyperplane trace of that space.
     """
     _require_is(base)
-    a = base.dims[which]
-    if a == 0:
-        raise ValueError("a point carries no directrix curve")
-    hs = list(base.dims)
-    hs[which] = a - 1
-    return intersection_number(base.ambient, hs)
+    return _directrix_degree(base.ambient, base.dims, which)
 
 
 def speciality(n: int, d: int, g: int) -> int:
@@ -228,18 +236,18 @@ def speciality(n: int, d: int, g: int) -> int:
     return h1
 
 
-@dataclass(frozen=True)
-class ScrollReport:
-    """Full classification record of the incidence scroll of one base."""
+class ScrollReport(namedtuple(
+        "ScrollReport", "base span degree genus h1 special directrix")):
+    """Full classification record of the incidence scroll of one base.
 
-    base: IncidenceBase
-    span: int
-    degree: int
-    genus: int
-    h1: int
-    special: bool
-    directrix: tuple[tuple[int, int, int], ...]  # (space_dim, curve_degree, curve_genus)
-    tree: DegenerationNode = field(compare=False, repr=False, default=None)
+    directrix holds (space_dim, curve_degree, curve_genus) triples; the
+    witness `tree` is left out of equality, hashing and repr.
+    """
+
+    def __new__(cls, base, span, degree, genus, h1, special, directrix, tree=None):
+        self = super().__new__(cls, base, span, degree, genus, h1, special, directrix)
+        self.tree = tree
+        return self
 
     def to_dict(self, include_tree: bool = False) -> dict:
         out = {
@@ -262,24 +270,21 @@ class ScrollReport:
 
 def classify(base: IncidenceBase) -> ScrollReport:
     """Compute degree, genus, speciality and directrix table of a base."""
-    base = canonicalize(base)
-    _require_is(base)
-    node = degeneration_tree(base)
-    d = degree(base)
+    base = _checked(base)
+    node = _witness(base)
+    d = _degree(*base)
     if d != node.degree:
         raise InvariantError(
             f"ring degree {d} disagrees with degeneration bookkeeping {node.degree} "
             f"for {format_base(base)}")
     g = node.genus
 
-    effective = restrict_to_span(base)
-    span = effective.ambient
+    span, effective = _restrict(*base)
     h1 = speciality(span, d, g)
 
     directrix = tuple(
-        (a, directrix_degree(effective, effective.dims.index(a)), g)
-        for a in sorted(set(effective.dims))
+        (a, _directrix_degree(span, effective, effective.index(a)), g)
+        for a in sorted(set(effective))
         if a >= 1
     )
-    return ScrollReport(base=base, span=span, degree=d, genus=g, h1=h1,
-                        special=h1 > 0, directrix=directrix, tree=node)
+    return ScrollReport(base, span, d, g, h1, h1 > 0, directrix, node)

@@ -17,13 +17,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def checkout_env():
+    """Environment whose PYTHONPATH puts this checkout's package first."""
+    src = str(Path(incidence_scrolls.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def cli_process(*argv, **kwargs):
     """Start the command line in a fresh interpreter on this checkout."""
-    src = str(Path(incidence_scrolls.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.Popen([sys.executable, "-m", "incidence_scrolls.cli", *argv],
-                            env=env, **kwargs)
+                            env=checkout_env(), **kwargs)
 
 
 def body_rows(out):
@@ -76,10 +80,12 @@ class TestEnumerate:
         assert lines[0].startswith("base,span,degree,genus,h1,special")
         assert len(lines) == 2
 
-    def test_soft_cap(self, capsys):
-        code, _, err = run(capsys, "enumerate", "-n", "13")
-        assert code == 2
-        assert "--force" in err
+    def test_no_ambient_cap(self, capsys):
+        code, out, err = run(capsys, "enumerate", "-n", "13")
+        assert (code, err) == (0, "")
+        assert len(body_rows(out)) == 1060
+        # --force is still accepted, and changes nothing
+        assert run(capsys, "enumerate", "-n", "13", "--force") == (0, out, "")
 
     def test_deterministic(self, capsys):
         first = run(capsys, "enumerate", "-n", "6", "--nondegenerate")
@@ -217,8 +223,9 @@ class TestProduct:
 
 class TestExitCodes:
     def test_invariant_error(self, capsys, monkeypatch):
-        ring_degree = invariants.degree
-        monkeypatch.setattr(invariants, "degree", lambda base: ring_degree(base) + 1)
+        ring_degree = invariants._degree
+        monkeypatch.setattr(invariants, "_degree",
+                            lambda n, dims: ring_degree(n, dims) + 1)
         code, out, err = run(capsys, "analyze", "-n", "3", "--base", "1,1,1")
         assert code == 4
         assert out == ""
@@ -263,3 +270,15 @@ class TestExitCodes:
                            preexec_fn=lambda: os.close(1))
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
+
+
+class TestStartup:
+    def test_import_skips_unneeded_modules(self):
+        # every process pays for what `import incidence_scrolls.cli` loads;
+        # closed_forms is imported by `table` alone
+        unneeded = ["ast", "dataclasses", "incidence_scrolls.closed_forms", "inspect"]
+        code = ("import sys, incidence_scrolls.cli; "
+                f"print([m for m in {unneeded!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

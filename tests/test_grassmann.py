@@ -5,7 +5,7 @@ from collections import defaultdict
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incidence_scrolls import grassmann, invariants
@@ -26,6 +26,38 @@ def pieri_oracle(n, hs):
                     out[b] = out.get(b, 0) + coeff
         terms = out
     return terms
+
+
+def kostka_oracle(n, hs):
+    """Point coefficient of the product of special classes, by Jacobi-Trudi.
+
+    With codimensions c_i = n-1-h_i it is the two-row Kostka number
+    K_{(n-1,n-1), c} = [t^(n-1)]P - [t^n]P, P = prod(1 + t + ... + t^c_i)
+    (Fulton, Young Tableaux, 2.2 and 9.4), and 0 unless the c_i add up to
+    dim G(1,n) = 2(n-1).  No step of Pieri's rule is used.
+    """
+    cs = [n - 1 - h for h in hs]
+    if sum(cs) != 2 * (n - 1):
+        return 0
+    poly = [1]  # coefficients of P, truncated past t^n
+    for c in cs:
+        poly = [sum(poly[max(0, k - c):k + 1])
+                for k in range(min(len(poly) + c, n + 1))]
+    poly += [0] * (n + 1 - len(poly))
+    return poly[n - 1] - poly[n]
+
+
+@st.composite
+def point_products(draw, max_n=25):
+    """(n, hs) whose special classes have total codimension dim G(1,n)."""
+    n = draw(st.integers(2, max_n))
+    remaining = 2 * (n - 1)
+    hs = []
+    while remaining:
+        c = draw(st.integers(1, min(remaining, n - 1)))
+        hs.append(n - 1 - c)
+        remaining -= c
+    return n, hs
 
 
 def codimension_of(n, index):
@@ -149,6 +181,12 @@ class TestProductOfSpecials:
         with pytest.raises(ValueError):
             product_of_specials(4, [3])
 
+    @settings(max_examples=200, deadline=None)
+    @given(point_products())
+    def test_point_coefficient_matches_kostka(self, case):
+        n, hs = case
+        assert product_of_specials(n, hs).get((0, 1), 0) == kostka_oracle(n, hs)
+
     def test_accepts_any_iterable(self):
         assert product_of_specials(4, iter([2] * 6)) == {(0, 1): 5}
         assert intersection_number(4, iter([2] * 6)) == 5
@@ -190,14 +228,10 @@ class TestKernelMemo:
         assert grassmann._point_coefficient.cache_info().currsize == 1
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_matches_oracle_shuffled(self, data):
-        n = data.draw(st.integers(2, 8))
-        hs = data.draw(st.lists(st.integers(0, n - 2), max_size=n))
-        missing = 2 * (n - 1) - sum(n - 1 - h for h in hs)
-        assume(missing >= 0)
-        hs += [n - 2] * missing  # hyperplane classes fill up to a point
-        expected = pieri_oracle(n, hs).get((0, 1), 0)
+    @given(point_products(), st.data())
+    def test_matches_oracle_shuffled(self, case, data):
+        n, hs = case
+        expected = kostka_oracle(n, hs)
         assert intersection_number(n, data.draw(st.permutations(hs))) == expected
         assert intersection_number(n, data.draw(st.permutations(hs))) == expected
 
@@ -248,7 +282,7 @@ class TestKernelMemo:
             classify(base)
         info = grassmann._point_coefficient.cache_info()
         assert info.hits > 0
-        assert set(asked) == {"degree", "directrix_degree", "kappa"}
+        assert set(asked) == {"_degree", "_directrix_degree", "_kappa"}
         keys = set().union(*asked.values())
         assert info.misses == info.currsize == len(keys)
         # some multisets are asked for by two different callers

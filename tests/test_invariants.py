@@ -362,8 +362,8 @@ from incidence_scrolls import invariants
 from incidence_scrolls.bases import IncidenceBase
 
 print("debug", __debug__)
-ring_degree = invariants.degree
-invariants.degree = lambda base: ring_degree(base) + 1
+ring_degree = invariants._degree
+invariants._degree = lambda n, dims: ring_degree(n, dims) + 1
 try:
     invariants.classify(IncidenceBase(4, (1, 2, 2, 2)))
 except invariants.InvariantError as exc:
@@ -391,6 +391,27 @@ for step in steps:
 """
 
 
+CORRUPTED_JOIN = """
+from incidence_scrolls import invariants
+from incidence_scrolls.bases import IncidenceBase
+
+print("debug", __debug__)
+tuple_join = invariants._join
+
+
+def drop_a_space(n, dims, i, j):
+    dot, ddot, m = tuple_join(n, dims, i, j)
+    return dot[1:], ddot, m
+
+
+invariants._join = drop_a_space
+try:
+    invariants.classify(IncidenceBase(4, (2, 2, 2, 2, 2)))
+except invariants.InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
 def run_optimized(code):
     """Run `code` under `python -O`, which strips every assert."""
     src = str(Path(incidence_scrolls.__file__).resolve().parents[1])
@@ -412,13 +433,23 @@ class TestCrossChecks:
 
     def test_kappa_must_be_positive(self, monkeypatch):
         monkeypatch.setattr(invariants, "intersection_number", lambda n, hs: 0)
-        with pytest.raises(InvariantError):
-            kappa(B(5, 3, 3, 3, 3, 3, 3, 3), 0, 1)
+        base = B(5, 3, 3, 3, 3, 3, 3, 3)
+        for step in (lambda: kappa(base, 0, 1), lambda: degeneration_tree(base),
+                     lambda: classify(base)):
+            with pytest.raises(InvariantError, match="kappa must be positive"):
+                step()
 
     def test_m_zero_join_shares_one_generator(self, monkeypatch):
-        monkeypatch.setattr(invariants, "kappa", lambda base, i, j: 2)
-        with pytest.raises(InvariantError):
+        monkeypatch.setattr(invariants, "_kappa", lambda n, dims, i, j: 2)
+        with pytest.raises(InvariantError, match="m=0 join must share one"):
             degeneration_tree(B(6, 2, 3, 3, 4, 4), first_pair=(0, 1))
+
+    def test_corrupted_join_survives_optimize(self):
+        assert run_optimized(CORRUPTED_JOIN) == [
+            "debug False",
+            "InvariantError: join produced n=4 dims=2,2,2, which is not an "
+            "incidence-scroll base",
+        ]
 
     def test_base_checks_survive_optimize(self):
         assert run_optimized(BASE_CHECKS_WITHOUT_IS) == [

@@ -5,12 +5,23 @@ meeting a fixed P^a0 and lying in a P^a1 through it.  Its dimension is
 a0 + a1 - 1; the fundamental class is w(n-1, n) and the point class w(0, 1).
 The special class of parameter h, the lines meeting a fixed P^h, is w(h, n)
 of codimension n - 1 - h.  All coefficients are exact Python integers.
+`product_of_specials` folds Pieri's rule into the whole class, while
+`intersection_number` gives only the point coefficient, in closed form.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterable
+
+
+def _check_parameters(n: int, hs: Iterable[int]) -> None:
+    if n < 2:
+        raise ValueError(f"need n >= 2 for G(1, n), got n={n}")
+    for h in hs:
+        if not 0 <= h <= n - 2:
+            raise ValueError(f"special parameter {h} out of range [0, {n - 2}]")
 
 
 def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]:
@@ -21,11 +32,7 @@ def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]
     with b0 + b1 = a0 + a1 - (n - 1 - h).  Zero coefficients are never stored.
     """
     hs = list(hs)
-    if n < 2:
-        raise ValueError(f"need n >= 2 for G(1, n), got n={n}")
-    for h in hs:
-        if not 0 <= h <= n - 2:
-            raise ValueError(f"special parameter {h} out of range [0, {n - 2}]")
+    _check_parameters(n, hs)
     terms = {(n - 1, n): 1}
     for h in hs:
         out: dict[tuple[int, int], int] = {}
@@ -41,21 +48,29 @@ def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]
 def intersection_number(n: int, hs: Iterable[int]) -> int:
     """Coefficient of the point class w(0, 1) in a zero-dimensional product.
 
-    The product is commutative, so the answer is memoized on n and the
-    sorted multiset of hs; degree, directrix degrees and kappa share it.
+    A closed form, the two-row Kostka number K_{(n-1,n-1), c} with c_i =
+    n - 1 - h_i (Jacobi-Trudi; Fulton, Young Tableaux, 2.2 and 9.4), memoized
+    on n and the sorted hs; degree, directrix degrees and kappa share it.
     """
     return _point_coefficient(n, tuple(sorted(hs)))
 
 
 @functools.cache
 def _point_coefficient(n: int, hs: tuple[int, ...]) -> int:
-    # only the int is stored: product_of_specials hands out a fresh dict, and
-    # invalid input is raised again on every call because it is never cached
+    # an exception is never cached, so invalid input raises on every call
     total = sum(n - 1 - h for h in hs)
     if total != 2 * (n - 1):
         raise ValueError(
             f"total codimension {total} != dim G(1,{n}) = {2 * (n - 1)}")
-    return product_of_specials(n, hs).get((0, 1), 0)
+    _check_parameters(n, hs)
+    # K = [t^(n-1)]P - [t^n]P, P = prod(1 + t + ... + t^c_i) = q / (1-t)^k for
+    # q = prod(1 - t^(n-h_i)) truncated past t^n; k >= 2 once the checks pass
+    k = len(hs)
+    q = [1] + [0] * n
+    for h in hs:
+        for w in range(n, n - h - 1, -1):
+            q[w] -= q[w - (n - h)]
+    return -sum(q[w] * math.comb(n - 2 - w + k, k - 2) for w in range(n + 1))
 
 
 def render(terms: dict[tuple[int, int], int]) -> str:

@@ -231,6 +231,23 @@ class TestExitCodes:
         assert out == ""
         assert "disagrees" in err
 
+    def test_wrong_kernel_is_caught_under_optimize(self):
+        # the tree degree adds leaves and never asks the kernel, so an
+        # off-by-one kernel trips the ring-vs-tree or the m=0 => kappa=1 check
+        code = (
+            "import sys\n"
+            "from incidence_scrolls import cli, grassmann\n"
+            "kernel = grassmann._point_coefficient\n"
+            "grassmann._point_coefficient = lambda n, hs: kernel(n, hs) + 1\n"
+            "sys.exit(cli.main(['analyze', '-n', '5', '--base', '3,3,3,3,3,3,3']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=checkout_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
     def test_recursion_too_deep(self, capsys):
         # the line family recurses once per ambient dimension, two frames a level
         n = 600

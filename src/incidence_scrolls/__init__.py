@@ -19,9 +19,7 @@ from .bases import (
 from .grassmann import intersection_number, product_of_specials, render
 from .invariants import (
     DegenerationNode,
-    DegenerationTooDeepError,
     ScrollReport,
-    UnresolvedDegenerationError,
     classify,
     degeneration_tree,
     degree,
@@ -37,8 +35,7 @@ __all__ = [
     "canonicalize", "conditions_count", "enumerate_bases", "format_base",
     "is_nondegenerate", "join", "parse_base", "restrict_to_span", "satisfies_is",
     "separate",
-    "DegenerationNode", "DegenerationTooDeepError", "ScrollReport",
-    "UnresolvedDegenerationError",
+    "DegenerationNode", "ScrollReport",
     "classify", "degeneration_tree", "degree", "directrix_degree", "kappa",
     "node_table", "speciality",
 ]

@@ -5,15 +5,13 @@ products of special Schubert classes on the Grassmannian of lines G(1,n).
 (or, in json, one row) per distinct sub-base, children before parents and
 the root last; `invariants.node_table` defines the rows.
 
-Exit codes: 0 success, 2 invalid input, 3 engine gave up on a degeneration
-(not observed on any known base), 4 a cross-check of the engine's results
-failed, such as the ring degree against the degeneration witness or a join
-yielding a base that does not impose 2n-3 conditions (not observed either),
-5 the genus recursion of a base is deeper than the interpreter's recursion
-limit (the line family {P^1, (n-1) P^(n-2)} from n of about 500), 141 the
-reader of stdout exited before reading all the output, as in
-`scrolls ... | head` (the status a shell reports for a process killed by
-SIGPIPE).  The checks also run under python -O.
+Exit codes: 0 success, 2 invalid input, 4 a cross-check of the engine's
+results failed, such as the ring degree against the degeneration witness, a
+join yielding a base that does not impose 2n-3 conditions, or a base left
+without an admissible join pair (none observed), 141 the reader of stdout
+exited before reading all the output, as in `scrolls ... | head` (the status
+a shell reports for a process killed by SIGPIPE).  The checks also run
+under python -O.
 """
 
 from __future__ import annotations
@@ -28,10 +26,8 @@ import sys
 from .bases import IncidenceBase, enumerate_bases, format_base, satisfies_is
 from .grassmann import product_of_specials, render
 from .invariants import (
-    DegenerationTooDeepError,
     InvariantError,
     ScrollReport,
-    UnresolvedDegenerationError,
     classify,
     conditions_count,
     node_table,
@@ -258,12 +254,6 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
-    except UnresolvedDegenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerationTooDeepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

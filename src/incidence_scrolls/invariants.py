@@ -11,8 +11,6 @@ whose repeated sub-bases are shared.
 from __future__ import annotations
 
 import bisect
-import functools
-import sys
 from collections import namedtuple
 
 from .bases import (
@@ -28,14 +26,6 @@ from .bases import (
     satisfies_is,
 )
 from .grassmann import intersection_number
-
-
-class UnresolvedDegenerationError(RuntimeError):
-    """No admissible pair was found while degenerating a base (never observed)."""
-
-
-class DegenerationTooDeepError(RuntimeError):
-    """The genus recursion of a base went deeper than the interpreter allows."""
 
 
 def _require_is(base: IncidenceBase) -> None:
@@ -117,18 +107,18 @@ def _choose_pair(base: IncidenceBase) -> tuple[int, int]:
                 best = (cand, (i, j))
         i = bisect.bisect_right(dims, dims[i], i)
     if best is None:
-        raise UnresolvedDegenerationError(
+        raise InvariantError(
             f"no admissible join pair for {format_base(base)}")
     return best[1]
 
 
-@functools.cache
 def _tree(ambient: int, dims: tuple[int, ...],
-          first_pair: tuple[int, int] | None) -> DegenerationNode:
-    """Witness of a canonical base; cached calls pass first_pair=None.
+          first_pair: tuple[int, int] | None):
+    """Witness of a canonical base, as a generator run by `_witness`.
 
-    A root with a forced first_pair is built by `_tree.__wrapped__`, outside
-    the cache, while the bases it reduces to still come from the cache.
+    It yields the (ambient, dims) key of each base it reduces to, is sent
+    that base's node, and returns its own node; first_pair, if given, forces
+    this base's join.
     """
     # the public entries check every root and _restrict every base it makes,
     # so a base failing here came out of a join
@@ -138,7 +128,7 @@ def _tree(ambient: int, dims: tuple[int, ...],
         # a point in the base (or a planar ambient) sweeps a plane pencil
         return DegenerationNode(base, "leaf", 1, 0)
     if not is_nondegenerate(base):
-        child = _tree(*_restrict(ambient, dims), None)
+        child = yield _restrict(ambient, dims)
         return DegenerationNode(base, "restrict", child.degree, child.genus,
                                 children=(child,))
     i, j = first_pair if first_pair is not None else _choose_pair(base)
@@ -146,23 +136,41 @@ def _tree(ambient: int, dims: tuple[int, ...],
     shared = _kappa(ambient, dims, i, j)
     if m == 0 and shared != 1:
         raise InvariantError(f"m=0 join must share one generator, got {shared}")
-    dot = _tree(ambient, dot_dims, None)
-    ddot = _tree(ambient - 1, ddot_dims, None)
+    dot = yield (ambient, dot_dims)
+    ddot = yield (ambient - 1, ddot_dims)
     return DegenerationNode(base, "join", dot.degree + ddot.degree,
                             dot.genus + ddot.genus + shared - 1,
                             (dims[i], dims[j]), m, shared, (dot, ddot))
 
 
+_nodes: dict[tuple[int, tuple[int, ...]], DegenerationNode] = {}
+
+
 def _witness(base: IncidenceBase,
              first_pair: tuple[int, int] | None = None) -> DegenerationNode:
-    try:
-        if first_pair is None:
-            return _tree(*base, None)
-        return _tree.__wrapped__(*base, first_pair)
-    except RecursionError:
-        raise DegenerationTooDeepError(
-            f"degeneration of {format_base(base)} recurses deeper than the "
-            f"interpreter's limit of {sys.getrecursionlimit()} frames") from None
+    """Run `_tree` on a stack of (key, generator) frames, memoized in `_nodes`.
+
+    A root with a forced first_pair is not stored, but the bases it reduces
+    to are.  A raising frame leaves only completed nodes in `_nodes`.
+    """
+    if first_pair is None and base in _nodes:
+        return _nodes[base]
+    stack = [(base if first_pair is None else None, _tree(*base, first_pair))]
+    node = None
+    while stack:
+        key, frame = stack[-1]
+        try:
+            sub = frame.send(node)
+        except StopIteration as done:
+            stack.pop()
+            node = done.value
+            if key is not None:
+                _nodes[key] = node
+            continue
+        node = _nodes.get(sub)
+        if node is None:
+            stack.append((sub, _tree(*sub, None)))
+    return node
 
 
 def degeneration_tree(base: IncidenceBase,
@@ -185,28 +193,30 @@ def node_table(root: DegenerationNode) -> dict:
     of the joined pair, m and kappa.  The table grows with the number of
     distinct sub-bases, while the expanded tree can be exponentially larger.
     """
-    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    ids: dict[IncidenceBase, int] = {}
     nodes: list[dict] = []
-
-    def visit(node: DegenerationNode) -> int:
-        key = (node.base.ambient, node.base.dims)
-        if key not in ids:
-            children = []
-            for child in node.children:  # a comprehension would add a frame per level
-                children.append(visit(child))
-            row = {"id": len(nodes), "base": format_base(node.base),
-                   "action": node.action, "degree": node.degree,
-                   "genus": node.genus}
-            if node.action == "join":
-                row["pair"] = list(node.pair)
-                row["m"] = node.m
-                row["kappa"] = node.kappa
-            row["children"] = children
-            ids[key] = row["id"]
-            nodes.append(row)
-        return ids[key]
-
-    return {"root": visit(root), "nodes": nodes}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node.base in ids:
+            stack.pop()
+            continue
+        pending = [child for child in node.children if child.base not in ids]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        row = {"id": len(nodes), "base": format_base(node.base),
+               "action": node.action, "degree": node.degree,
+               "genus": node.genus}
+        if node.action == "join":
+            row["pair"] = list(node.pair)
+            row["m"] = node.m
+            row["kappa"] = node.kappa
+        row["children"] = [ids[child.base] for child in node.children]
+        ids[node.base] = row["id"]
+        nodes.append(row)
+    return {"root": ids[root.base], "nodes": nodes}
 
 
 def _directrix_degree(n: int, dims: tuple[int, ...], which: int) -> int:

@@ -11,5 +11,5 @@ def cold_engine_caches():
     that patches the kernel or a step of the recursion is not masked by a
     value cached before the patch.
     """
-    invariants._tree.cache_clear()
+    invariants._nodes.clear()
     grassmann._point_coefficient.cache_clear()

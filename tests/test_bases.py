@@ -18,7 +18,7 @@ from incidence_scrolls.bases import (
     satisfies_is,
     separate,
 )
-from incidence_scrolls.invariants import UnresolvedDegenerationError, _choose_pair
+from incidence_scrolls.invariants import InvariantError, _choose_pair
 
 
 def B(ambient, *dims):
@@ -90,7 +90,7 @@ def assert_pair_rules_agree(base):
     assert restricted == restrict_oracle(base)
     expected = join_pair_oracle(base)
     if expected is None:
-        with pytest.raises(UnresolvedDegenerationError):
+        with pytest.raises(InvariantError, match="no admissible join pair"):
             _choose_pair(base)
     else:
         assert _choose_pair(base) == expected

@@ -248,15 +248,24 @@ class TestExitCodes:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
 
-    def test_recursion_too_deep(self, capsys):
-        # the line family recurses once per ambient dimension, two frames a level
-        n = 600
+    def test_deep_line_family_ignores_frame_limit(self):
+        # the witness of the line family is n levels deep, far more than the
+        # interpreter's frame limit here; the engine runs it on its own stack
+        n = 300
         dims = ",".join(["1"] + [str(n - 2)] * (n - 1))
-        code, out, err = run(capsys, "analyze", "-n", str(n), "--base", dims)
-        assert code == 5
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert f"degeneration of n={n} dims={dims} recurses deeper" in err
+        code = (
+            "import sys\n"
+            "from incidence_scrolls import cli\n"
+            "sys.setrecursionlimit(100)\n"
+            f"sys.exit(cli.main(['analyze', '-n', '{n}', '--base', '{dims}',"
+            " '--tree', '--format', 'json']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        data = json.loads(proc.stdout)
+        assert (data["degree"], data["genus"], data["h1"]) == (n - 1, 0, 0)
+        assert len(data["tree"]["nodes"]) == 2 * n - 3
 
     def test_reader_exits_early(self):
         # enumerate -n 12 prints ~140 kB of json, more than a pipe buffers, so

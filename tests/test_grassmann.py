@@ -288,7 +288,7 @@ class TestKernelMemo:
         warm = [classify(base) for base in bases]
         cold = []
         for base in bases:
-            invariants._tree.cache_clear()
+            invariants._nodes.clear()
             grassmann._point_coefficient.cache_clear()
             cold.append(classify(base))
         assert cold == warm

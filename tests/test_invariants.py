@@ -25,6 +25,7 @@ from incidence_scrolls.bases import (
 from incidence_scrolls.grassmann import product_of_specials
 from incidence_scrolls.invariants import (
     InvariantError,
+    _choose_pair,
     classify,
     degeneration_tree,
     degree,
@@ -79,6 +80,29 @@ def check_witness(base, table):
     root = nodes[table["root"]]
     assert root["base"] == format_base(canonicalize(base))
     assert root["degree"] == degree(base)
+
+
+def node_table_oracle(root):
+    """node_table by recursion, one interpreter frame per level of the witness."""
+    ids = {}
+    nodes = []
+
+    def visit(node):
+        if node.base not in ids:
+            children = [visit(child) for child in node.children]
+            row = {"id": len(nodes), "base": format_base(node.base),
+                   "action": node.action, "degree": node.degree,
+                   "genus": node.genus}
+            if node.action == "join":
+                row["pair"] = list(node.pair)
+                row["m"] = node.m
+                row["kappa"] = node.kappa
+            row["children"] = children
+            ids[node.base] = row["id"]
+            nodes.append(row)
+        return ids[node.base]
+
+    return {"root": visit(root), "nodes": nodes}
 
 
 def witness_base(n):
@@ -249,6 +273,45 @@ class TestDegenerationTree:
         table["nodes"][row][field] = value
         with pytest.raises(AssertionError):
             check_witness(base, table)
+
+    def test_node_table_matches_recursive_oracle(self):
+        roots = [degeneration_tree(base)
+                 for n in range(3, 10) for base in enumerate_bases(n)]
+        roots += [degeneration_tree(witness_base(n)) for n in (10, 11, 12)]
+        roots.append(degeneration_tree(B(5, 2, 3, 3, 3, 3, 3), first_pair=(1, 2)))
+        for root in roots:
+            assert node_table(root) == node_table_oracle(root)
+
+    def test_forced_root_is_never_stored(self):
+        base = B(5, 2, 3, 3, 3, 3, 3)
+        assert degeneration_tree(base, first_pair=(1, 2)).pair == (3, 3)
+        warm = degeneration_tree(base)
+        i, j = _choose_pair(base)
+        assert warm.pair == (base.dims[i], base.dims[j]) == (2, 3)
+        invariants._nodes.clear()
+        assert node_table(warm) == node_table(degeneration_tree(base))
+
+    def test_failed_build_keeps_only_completed_nodes(self, monkeypatch):
+        kernel_kappa = invariants._kappa
+        calls = []
+
+        def failing_kappa(*args):
+            calls.append(args)
+            if len(calls) == 5:
+                raise InvariantError("fifth kappa fails")
+            return kernel_kappa(*args)
+
+        base = B(5, 2, 3, 3, 3, 3, 3)
+        monkeypatch.setattr(invariants, "_kappa", failing_kappa)
+        with pytest.raises(InvariantError, match="fifth kappa fails"):
+            classify(base)
+        monkeypatch.undo()
+        assert invariants._nodes
+        after_failure = classify(base)
+        invariants._nodes.clear()
+        cold = classify(base)
+        assert after_failure == cold
+        assert node_table(after_failure.tree) == node_table(cold.tree)
 
     def test_forced_root_shares_cached_subtrees(self):
         base = B(5, 2, 3, 3, 3, 3, 3)

@@ -24,9 +24,7 @@ class InvariantError(RuntimeError):
     Every base that join, separate or restrict_to_span produces must impose
     exactly 2n-3 conditions; the ring degree must equal the degree of the
     degeneration witness, kappa must be positive, and a join with m = 0 must
-    share exactly one generator.  A nondegenerate, point-free base of P^n,
-    n >= 3, has two spaces (one imposes at most n - 2 < 2n - 3 conditions),
-    and nondegeneracy makes its two smallest an admissible join pair.
+    share exactly one generator.
     """
 
 

@@ -6,12 +6,11 @@ products of special Schubert classes on the Grassmannian of lines G(1,n).
 the root last; `invariants.node_table` defines the rows.
 
 Exit codes: 0 success, 2 invalid input, 4 a cross-check of the engine's
-results failed, such as the ring degree against the degeneration witness, a
-join yielding a base that does not impose 2n-3 conditions, or a base left
-without an admissible join pair (none observed), 141 the reader of stdout
-exited before reading all the output, as in `scrolls ... | head` (the status
-a shell reports for a process killed by SIGPIPE).  The checks also run
-under python -O.
+results failed, such as the ring degree against the degeneration witness or
+a join yielding a base that does not impose 2n-3 conditions, 141 the reader
+of stdout exited before reading all the output, as in `scrolls ... | head`
+(the status a shell reports for a process killed by SIGPIPE).  The checks
+also run under python -O.
 """
 
 from __future__ import annotations
@@ -23,13 +22,12 @@ import json
 import os
 import sys
 
-from .bases import IncidenceBase, enumerate_bases, format_base, satisfies_is
+from .bases import IncidenceBase, enumerate_bases, format_base
 from .grassmann import product_of_specials, render
 from .invariants import (
     InvariantError,
     ScrollReport,
     classify,
-    conditions_count,
     node_table,
 )
 
@@ -81,8 +79,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.ambient < 3:
-        raise ValueError(f"need ambient n >= 3, got {args.ambient}")
     bases = enumerate_bases(args.ambient,
                             nondegenerate_only=args.nondegenerate,
                             contains_dim=args.contains_dim)
@@ -112,9 +108,6 @@ def _render_witness(table: dict) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     base = IncidenceBase(args.ambient, _parse_dims(args.base))
-    if not satisfies_is(base):
-        raise ValueError(
-            f"conditions={conditions_count(base)}, required {2 * base.ambient - 3}")
     report = classify(base)
     if args.format == "json":
         print(json.dumps(report.to_dict(include_tree=args.tree), indent=2))

@@ -10,7 +10,6 @@ whose repeated sub-bases are shared.
 
 from __future__ import annotations
 
-import bisect
 from collections import namedtuple
 
 from .bases import (
@@ -89,36 +88,14 @@ DegenerationNode.__doc__ = """One step of the genus recursion, with exact degree
 bookkeeping; action is "leaf", "restrict" or "join", pair the joined dimensions."""
 
 
-def _choose_pair(base: IncidenceBase) -> tuple[int, int]:
-    """Deterministic join pair: minimal m, then smallest dimension pair.
-
-    The dims are sorted, so each distinct dimension is tried once, at its
-    first index i, with its smallest admissible partner: the first j > i
-    with dims[j] >= n - 1 - dims[i].  Ties go to the smallest (i, j).
-    """
-    n, dims = base
-    best = None
-    i = 0
-    while i < len(dims):
-        j = bisect.bisect_left(dims, n - 1 - dims[i], i + 1)
-        if j < len(dims):
-            cand = (dims[i] + dims[j] - n + 1, dims[i], dims[j])
-            if best is None or cand < best[0]:
-                best = (cand, (i, j))
-        i = bisect.bisect_right(dims, dims[i], i)
-    if best is None:
-        raise InvariantError(
-            f"no admissible join pair for {format_base(base)}")
-    return best[1]
-
-
-def _tree(ambient: int, dims: tuple[int, ...],
-          first_pair: tuple[int, int] | None):
+def _tree(ambient: int, dims: tuple[int, ...]):
     """Witness of a canonical base, as a generator run by `_witness`.
 
     It yields the (ambient, dims) key of each base it reduces to, is sent
-    that base's node, and returns its own node; first_pair, if given, forces
-    this base's join.
+    that base's node, and returns its own node.  A base that reaches the
+    join is nondegenerate and point-free in P^n, n >= 3, so it has two
+    spaces (one imposes at most n - 2 < 2n - 3 conditions), and its two
+    smallest span the ambient: they are joined, meeting in the smallest P^m.
     """
     # the public entries check every root and _restrict every base it makes,
     # so a base failing here came out of a join
@@ -131,31 +108,28 @@ def _tree(ambient: int, dims: tuple[int, ...],
         child = yield _restrict(ambient, dims)
         return DegenerationNode(base, "restrict", child.degree, child.genus,
                                 children=(child,))
-    i, j = first_pair if first_pair is not None else _choose_pair(base)
-    dot_dims, ddot_dims, m = _join(ambient, dims, i, j)
-    shared = _kappa(ambient, dims, i, j)
+    dot_dims, ddot_dims, m = _join(ambient, dims, 0, 1)
+    shared = _kappa(ambient, dims, 0, 1)
     if m == 0 and shared != 1:
         raise InvariantError(f"m=0 join must share one generator, got {shared}")
     dot = yield (ambient, dot_dims)
     ddot = yield (ambient - 1, ddot_dims)
     return DegenerationNode(base, "join", dot.degree + ddot.degree,
                             dot.genus + ddot.genus + shared - 1,
-                            (dims[i], dims[j]), m, shared, (dot, ddot))
+                            dims[:2], m, shared, (dot, ddot))
 
 
 _nodes: dict[tuple[int, tuple[int, ...]], DegenerationNode] = {}
 
 
-def _witness(base: IncidenceBase,
-             first_pair: tuple[int, int] | None = None) -> DegenerationNode:
+def _witness(base: IncidenceBase) -> DegenerationNode:
     """Run `_tree` on a stack of (key, generator) frames, memoized in `_nodes`.
 
-    A root with a forced first_pair is not stored, but the bases it reduces
-    to are.  A raising frame leaves only completed nodes in `_nodes`.
+    A raising frame leaves only completed nodes in `_nodes`.
     """
-    if first_pair is None and base in _nodes:
+    if base in _nodes:
         return _nodes[base]
-    stack = [(base if first_pair is None else None, _tree(*base, first_pair))]
+    stack = [(base, _tree(*base))]
     node = None
     while stack:
         key, frame = stack[-1]
@@ -163,25 +137,21 @@ def _witness(base: IncidenceBase,
             sub = frame.send(node)
         except StopIteration as done:
             stack.pop()
-            node = done.value
-            if key is not None:
-                _nodes[key] = node
+            node = _nodes[key] = done.value
             continue
         node = _nodes.get(sub)
         if node is None:
-            stack.append((sub, _tree(*sub, None)))
+            stack.append((sub, _tree(*sub)))
     return node
 
 
-def degeneration_tree(base: IncidenceBase,
-                      first_pair: tuple[int, int] | None = None) -> DegenerationNode:
+def degeneration_tree(base: IncidenceBase) -> DegenerationNode:
     """Witness of the genus recursion, a DAG of shared sub-bases.
 
-    With first_pair the root join is forced to those base-space indices;
-    every subtree follows the deterministic rule and is shared with every
-    other witness that reaches the same canonical base.
+    Every subtree is shared with every other witness that reaches the same
+    canonical base.
     """
-    return _witness(_checked(base), first_pair)
+    return _witness(_checked(base))
 
 
 def node_table(root: DegenerationNode) -> dict:

@@ -16,7 +16,7 @@ from incidence_scrolls.bases import (
 )
 from incidence_scrolls.closed_forms import p2s, p3s, table
 from incidence_scrolls.grassmann import intersection_number, product_of_specials
-from incidence_scrolls.invariants import classify, degeneration_tree
+from incidence_scrolls.invariants import classify, degeneration_tree, kappa
 
 
 @contextmanager
@@ -137,16 +137,25 @@ def test_criterion_7_degeneration_bookkeeping():
             for child in node.children:
                 check(child)
 
+        # the engine always joins the two smallest spaces; forcing the first
+        # join onto every pair (all are admissible on a nondegenerate base)
+        # must give the same degree and genus
         for n in range(3, 8):
             for base in enumerate_bases(n, nondegenerate_only=True):
                 reference = degeneration_tree(base)
                 check(reference)
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
-                    if base.dims[i] + base.dims[j] - n + 1 < 0:
-                        continue
-                    forced = degeneration_tree(base, first_pair=(i, j))
-                    check(forced)
-                    assert (forced.degree, forced.genus) == \
+                    result = join(base, i, j)
+                    shared = kappa(base, i, j)
+                    assert shared >= 1
+                    if result.m == 0:
+                        assert shared == 1
+                    dot = degeneration_tree(result.dot)
+                    ddot = degeneration_tree(result.ddot)
+                    check(dot)
+                    check(ddot)
+                    assert (dot.degree + ddot.degree,
+                            dot.genus + ddot.genus + shared - 1) == \
                         (reference.degree, reference.genus)
 
 

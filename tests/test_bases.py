@@ -18,7 +18,6 @@ from incidence_scrolls.bases import (
     satisfies_is,
     separate,
 )
-from incidence_scrolls.invariants import InvariantError, _choose_pair
 
 
 def B(ambient, *dims):
@@ -88,12 +87,9 @@ def assert_pair_rules_agree(base):
     except EmptyIncidenceError:
         restricted = None
     assert restricted == restrict_oracle(base)
-    expected = join_pair_oracle(base)
-    if expected is None:
-        with pytest.raises(InvariantError, match="no admissible join pair"):
-            _choose_pair(base)
-    else:
-        assert _choose_pair(base) == expected
+    if is_nondegenerate(base) and 0 not in base.dims:
+        # the bases the genus recursion joins: it takes the two smallest
+        assert join_pair_oracle(base) == (0, 1)
 
 
 def brute_force_bases(n):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,9 @@ import pytest
 import incidence_scrolls
 from incidence_scrolls import invariants
 from incidence_scrolls.cli import main
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -87,6 +91,10 @@ class TestEnumerate:
         # --force is still accepted, and changes nothing
         assert run(capsys, "enumerate", "-n", "13", "--force") == (0, out, "")
 
+    def test_small_ambient_rejected(self, capsys):
+        assert run(capsys, "enumerate", "-n", "2") == \
+            (2, "", "error: need ambient n >= 3, got 2\n")
+
     def test_deterministic(self, capsys):
         first = run(capsys, "enumerate", "-n", "6", "--nondegenerate")
         second = run(capsys, "enumerate", "-n", "6", "--nondegenerate")
@@ -141,10 +149,20 @@ class TestAnalyze:
         assert [line.split()[:2] for line in lines] == \
             [[f"#{row['id']}", row["action"]] for row in table["nodes"]]
 
+    def test_readme_witness_example(self, capsys):
+        command = "scrolls analyze -n 6 --base 2,3,3,4,4 --tree"
+        shown = re.search(re.escape(command) + r"\n```\n\n```text\n(.*?)\n```",
+                          README.read_text(), re.S)
+        assert shown, f"README shows no output block after {command!r}"
+        code, out, _ = run(capsys, *command.split()[1:])
+        assert code == 0
+        assert [line.rstrip() for line in out.splitlines()] == \
+            [line.rstrip() for line in shown.group(1).splitlines()]
+
     def test_not_a_base(self, capsys):
-        code, _, err = run(capsys, "analyze", "-n", "5", "--base", "2,3")
-        assert code == 2
-        assert "conditions=3, required 7" in err
+        assert run(capsys, "analyze", "-n", "5", "--base", "2,3") == (
+            2, "", "error: n=5 dims=2,3 is not an incidence-scroll base: "
+            "conditions=3, required 7\n")
 
     def test_bad_dims(self, capsys):
         code, _, err = run(capsys, "analyze", "-n", "5", "--base", "2,x")

@@ -160,6 +160,12 @@ class TestProductOfSpecials:
     def test_solid_family_seed(self):
         assert product_of_specials(5, [2, 3, 3, 3, 3, 3, 3]) == {(0, 1): 9}
 
+    def test_returns_a_new_dict_on_every_call(self):
+        hs = [2, 3, 3, 3, 3, 3, 3]
+        product_of_specials(5, hs)[(0, 1)] = 0
+        product_of_specials(5, sorted(hs)).clear()
+        assert product_of_specials(5, hs) == {(0, 1): 9}
+
     def test_permutation_invariant(self):
         hs = [1, 2, 2, 3, 4, 4, 3, 2]
         reference = product_of_specials(6, hs)
@@ -250,14 +256,6 @@ class TestKernelMemo:
             with pytest.raises(ValueError, match="need n >= 2"):
                 intersection_number(1, [])  # passes the codimension check
         assert grassmann._point_coefficient.cache_info().currsize == 2
-
-    def test_product_dicts_do_not_reach_the_cache(self):
-        hs = [2, 3, 3, 3, 3, 3, 3]
-        product_of_specials(5, hs)[(0, 1)] = 0  # before the cache holds hs
-        assert intersection_number(5, hs) == 9
-        product_of_specials(5, sorted(hs)).clear()  # and after
-        assert intersection_number(5, hs) == 9
-        assert product_of_specials(5, hs) == {(0, 1): 9}
 
     def test_memo_traffic_of_the_sweep(self):
         # the enumerate -n 13 sweep: 6115 kernel calls on 2325 distinct keys

@@ -25,7 +25,6 @@ from incidence_scrolls.bases import (
 from incidence_scrolls.grassmann import product_of_specials
 from incidence_scrolls.invariants import (
     InvariantError,
-    _choose_pair,
     classify,
     degeneration_tree,
     degree,
@@ -43,8 +42,9 @@ def B(ambient, *dims):
 def check_witness(base, table):
     """Re-verify every row of a witness node table from local arithmetic only.
 
-    Each join row must list exactly the two bases `join` makes at its pair,
-    with the recorded m and kappa; each restrict row the base
+    Each join row must join the two smallest spaces of its base, recorded as
+    its pair, and list exactly the two bases `join` makes of them, with the
+    recorded m and kappa; each restrict row the base
     `restrict_to_span` makes; degrees and genera must add up row by row, and
     the root's degree must be the ring degree of `base`.
     """
@@ -66,20 +66,34 @@ def check_witness(base, table):
             assert (d, g) == (child["degree"], child["genus"])
         else:
             assert row["action"] == "join"
-            low, high = sorted(row["pair"])
-            i = node_base.dims.index(low)
-            j = node_base.dims.index(high, i + 1)
-            result = join(node_base, i, j)
+            assert row["pair"] == list(node_base.dims[:2])
+            result = join(node_base, 0, 1)
             dot, ddot = children
             assert [dot["base"], ddot["base"]] == \
                 [format_base(result.dot), format_base(result.ddot)]
             assert row["m"] == result.m
-            assert row["kappa"] == kappa(node_base, i, j)
+            assert row["kappa"] == kappa(node_base, 0, 1)
             assert d == dot["degree"] + ddot["degree"]
             assert g == dot["genus"] + ddot["genus"] + row["kappa"] - 1
     root = nodes[table["root"]]
     assert root["base"] == format_base(canonicalize(base))
     assert root["degree"] == degree(base)
+
+
+def forced_join(base, i, j):
+    """Degree and genus of `base` with its first join forced to spaces i, j.
+
+    The two components come from `join`, their witnesses from
+    `degeneration_tree` and the shared generators from `kappa`, so every
+    join pair of a nondegenerate base must give the engine's own numbers.
+    """
+    result = join(base, i, j)
+    shared = kappa(base, i, j)
+    assert shared >= 1
+    if result.m == 0:
+        assert shared == 1
+    dot, ddot = degeneration_tree(result.dot), degeneration_tree(result.ddot)
+    return dot.degree + ddot.degree, dot.genus + ddot.genus + shared - 1
 
 
 def node_table_oracle(root):
@@ -221,15 +235,13 @@ class TestDegenerationTree:
                 walk(degeneration_tree(base))
 
     def test_forced_first_pair_agrees(self):
-        # any admissible starting pair must yield the same invariants
+        # every pair of a nondegenerate base is admissible, and any starting
+        # pair must yield the same invariants
         for n in range(3, 7):
             for base in enumerate_bases(n, nondegenerate_only=True):
                 reference = degeneration_tree(base)
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
-                    if base.dims[i] + base.dims[j] - n + 1 < 0:
-                        continue
-                    forced = degeneration_tree(base, first_pair=(i, j))
-                    assert (forced.degree, forced.genus) == \
+                    assert forced_join(base, i, j) == \
                         (reference.degree, reference.genus)
 
     def test_degree_matches_ring(self):
@@ -278,18 +290,8 @@ class TestDegenerationTree:
         roots = [degeneration_tree(base)
                  for n in range(3, 10) for base in enumerate_bases(n)]
         roots += [degeneration_tree(witness_base(n)) for n in (10, 11, 12)]
-        roots.append(degeneration_tree(B(5, 2, 3, 3, 3, 3, 3), first_pair=(1, 2)))
         for root in roots:
             assert node_table(root) == node_table_oracle(root)
-
-    def test_forced_root_is_never_stored(self):
-        base = B(5, 2, 3, 3, 3, 3, 3)
-        assert degeneration_tree(base, first_pair=(1, 2)).pair == (3, 3)
-        warm = degeneration_tree(base)
-        i, j = _choose_pair(base)
-        assert warm.pair == (base.dims[i], base.dims[j]) == (2, 3)
-        invariants._nodes.clear()
-        assert node_table(warm) == node_table(degeneration_tree(base))
 
     def test_failed_build_keeps_only_completed_nodes(self, monkeypatch):
         kernel_kappa = invariants._kappa
@@ -312,15 +314,6 @@ class TestDegenerationTree:
         cold = classify(base)
         assert after_failure == cold
         assert node_table(after_failure.tree) == node_table(cold.tree)
-
-    def test_forced_root_shares_cached_subtrees(self):
-        base = B(5, 2, 3, 3, 3, 3, 3)
-        forced = degeneration_tree(base, first_pair=(1, 2))
-        assert forced.pair == (3, 3)
-        assert forced is not degeneration_tree(base)
-        for child in forced.children:
-            assert child is degeneration_tree(child.base)
-        check_witness(base, node_table(forced))
 
 
 class TestDirectrixDegree:
@@ -505,7 +498,7 @@ class TestCrossChecks:
     def test_m_zero_join_shares_one_generator(self, monkeypatch):
         monkeypatch.setattr(invariants, "_kappa", lambda n, dims, i, j: 2)
         with pytest.raises(InvariantError, match="m=0 join must share one"):
-            degeneration_tree(B(6, 2, 3, 3, 4, 4), first_pair=(0, 1))
+            degeneration_tree(B(6, 2, 3, 3, 4, 4))
 
     def test_corrupted_join_survives_optimize(self):
         assert run_optimized(CORRUPTED_JOIN) == [
@@ -543,10 +536,11 @@ class TestRandomBases:
         assume(0 not in effective.dims)
         pair = data.draw(st.sampled_from(
             list(itertools.combinations(range(len(effective.dims)), 2))))
-        forced = degeneration_tree(effective, first_pair=pair)
         reference = degeneration_tree(base)
-        assert (forced.degree, forced.genus) == (reference.degree, reference.genus)
-        check_witness(effective, node_table(forced))
+        assert forced_join(effective, *pair) == (reference.degree, reference.genus)
+        result = join(effective, *pair)
+        for part in (result.dot, result.ddot):
+            check_witness(part, node_table(degeneration_tree(part)))
 
     @settings(max_examples=150, deadline=None)
     @given(random_bases())

@@ -3,7 +3,8 @@ products of special Schubert classes on the Grassmannian of lines G(1,n).
 
 `analyze --tree` prints the degeneration witness as a node table, one line
 (or, in json, one row) per distinct sub-base, children before parents and
-the root last; `invariants.node_table` defines the rows.
+the root last; `invariants.node_table` defines the rows.  It needs
+`--format text` or `json`: with `csv` or `md` it exits 2.
 
 Exit codes: 0 success, 2 invalid input, 4 a cross-check of the engine's
 results failed, such as the ring degree against the degeneration witness or
@@ -107,6 +108,9 @@ def _render_witness(table: dict) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.tree and args.format in ("csv", "md"):
+        # the witness lines would break the table's csv or markdown syntax
+        raise ValueError("--tree needs --format text or json")
     base = IncidenceBase(args.ambient, _parse_dims(args.base))
     report = classify(base)
     if args.format == "json":

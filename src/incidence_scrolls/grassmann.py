@@ -6,13 +6,13 @@ a0 + a1 - 1; the fundamental class is w(n-1, n) and the point class w(0, 1).
 The special class of parameter h, the lines meeting a fixed P^h, is w(h, n)
 of codimension n - 1 - h.  All coefficients are exact Python integers.
 `product_of_specials` folds Pieri's rule into the whole class, while
-`intersection_number` gives only the point coefficient, in closed form.
+`intersection_number` gives only the point coefficient, from one integer product.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 from collections.abc import Iterable
 
 
@@ -48,9 +48,9 @@ def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]
 def intersection_number(n: int, hs: Iterable[int]) -> int:
     """Coefficient of the point class w(0, 1) in a zero-dimensional product.
 
-    A closed form, the two-row Kostka number K_{(n-1,n-1), c} with c_i =
-    n - 1 - h_i (Jacobi-Trudi; Fulton, Young Tableaux, 2.2 and 9.4), memoized
-    on n and the sorted hs; degree, directrix degrees and kappa share it.
+    The two-row Kostka number K_{(n-1,n-1), c}, c_i = n - 1 - h_i (Fulton, Young
+    Tableaux, 2.2 and 9.4), read off the integer prod(1 + t + ... + t^c_i) at
+    t = 2^b; memoized on n and the sorted hs for degree, directrix and kappa.
     """
     return _point_coefficient(n, tuple(sorted(hs)))
 
@@ -58,19 +58,19 @@ def intersection_number(n: int, hs: Iterable[int]) -> int:
 @functools.cache
 def _point_coefficient(n: int, hs: tuple[int, ...]) -> int:
     # an exception is never cached, so invalid input raises on every call
-    total = sum(n - 1 - h for h in hs)
+    total = (n - 1) * len(hs) - sum(hs)
     if total != 2 * (n - 1):
         raise ValueError(
             f"total codimension {total} != dim G(1,{n}) = {2 * (n - 1)}")
     _check_parameters(n, hs)
-    # K = [t^(n-1)]P - [t^n]P, P = prod(1 + t + ... + t^c_i) = q / (1-t)^k for
-    # q = prod(1 - t^(n-h_i)) truncated past t^n; k >= 2 once the checks pass
-    k = len(hs)
-    q = [1] + [0] * n
-    for h in hs:
-        for w in range(n, n - h - 1, -1):
-            q[w] -= q[w - (n - h)]
-    return -sum(q[w] * math.comb(n - 2 - w + k, k - 2) for w in range(n + 1))
+    # K = [t^(n-1)]P - [t^n]P for P = prod(1 + t + ... + t^c_i), read off P(2^b):
+    # each coefficient is below P(1) = prod(c_i + 1) <= 2^b: no b-bit slot carries
+    b = sum((n - 1 - h).bit_length() for h in hs)
+    mask = (1 << b) - 1
+    p = 1
+    for h, run in itertools.groupby(hs):
+        p *= (((1 << b * (n - h)) - 1) // mask) ** len(list(run))
+    return ((p >> b * (n - 1)) & mask) - ((p >> b * n) & mask)
 
 
 def render(terms: dict[tuple[int, int], int]) -> str:

@@ -57,14 +57,15 @@ def degree(base: IncidenceBase) -> int:
 
 
 def _kappa(n: int, dims: tuple[int, ...], i: int, j: int) -> int:
+    i, j = min(i, j), max(i, j)
     di, dj = dims[i], dims[j]
     m = di + dj - n + 1
     if m < 0:
         raise ValueError("pair admits no hyperplane specialization (m < 0)")
-    others = [d for k, d in enumerate(dims) if k not in (i, j)]
+    others = dims[:i] + dims[i + 1:j] + dims[j + 1:]
     if 0 in others:
         raise ValueError("cannot compute kappa with a point outside the pair")
-    value = intersection_number(n - 1, [m] + [d - 1 for d in others])
+    value = intersection_number(n - 1, (m, *[d - 1 for d in others]))
     if value < 1:
         raise InvariantError(f"kappa must be positive, got {value}")
     return value

@@ -159,6 +159,13 @@ class TestAnalyze:
         assert [line.rstrip() for line in out.splitlines()] == \
             [line.rstrip() for line in shown.group(1).splitlines()]
 
+    @pytest.mark.parametrize("fmt", ["csv", "md"])
+    def test_tree_needs_text_or_json(self, capsys, fmt):
+        # the witness lines would not parse as a csv or markdown table
+        assert run(capsys, "analyze", "-n", "6", "--base", "2,3,3,4,4", "--tree",
+                   "--format", fmt) == \
+            (2, "", "error: --tree needs --format text or json\n")
+
     def test_not_a_base(self, capsys):
         assert run(capsys, "analyze", "-n", "5", "--base", "2,3") == (
             2, "", "error: n=5 dims=2,3 is not an incidence-scroll base: "

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incidence_scrolls import grassmann, invariants
-from incidence_scrolls.bases import enumerate_bases
+from incidence_scrolls.bases import IncidenceBase, enumerate_bases
 from incidence_scrolls.grassmann import intersection_number, product_of_specials, render
 from incidence_scrolls.invariants import classify, node_table
 
@@ -58,6 +58,35 @@ def point_products(draw, max_n=25):
         hs.append(n - 1 - c)
         remaining -= c
     return n, hs
+
+
+@st.composite
+def runs_of_equal_factors(draw, max_n=40):
+    """(n, hs) of total codimension dim G(1,n), drawn as runs of one equal h."""
+    n = draw(st.integers(2, max_n))
+    remaining = 2 * (n - 1)
+    hs = []
+    while remaining:
+        c = draw(st.integers(1, min(remaining, n - 1)))
+        run = draw(st.integers(1, remaining // c))
+        hs += [n - 1 - c] * run
+        remaining -= c * run
+    return n, hs
+
+
+def kernel_keys(monkeypatch, bases):
+    """The distinct (n, sorted hs) keys that classifying `bases` asks the kernel for."""
+    keys = set()
+
+    def recording(ambient, hs):
+        hs = tuple(sorted(hs))
+        keys.add((ambient, hs))
+        return intersection_number(ambient, hs)
+
+    monkeypatch.setattr(invariants, "intersection_number", recording)
+    for base in bases:
+        classify(base)
+    return keys
 
 
 def codimension_of(n, index):
@@ -265,21 +294,27 @@ class TestKernelMemo:
         info = grassmann._point_coefficient.cache_info()
         assert (info.misses, info.hits) == (2325, 3790)
 
-    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("n", range(3, 14))
     def test_every_sweep_key_matches_the_fold(self, n, monkeypatch):
-        keys = set()
-
-        def recording(ambient, hs):
-            hs = tuple(sorted(hs))
-            keys.add((ambient, hs))
-            return intersection_number(ambient, hs)
-
-        monkeypatch.setattr(invariants, "intersection_number", recording)
-        for base in enumerate_bases(n):
-            classify(base)
+        keys = kernel_keys(monkeypatch, enumerate_bases(n))
         assert keys
         for key in keys:
             assert intersection_number(*key) == product_of_specials(*key).get((0, 1), 0)
+
+    def test_every_line_family_key_matches_the_fold(self, monkeypatch):
+        # {P^1, (n-1) P^(n-2)}: about n codim-1 factors per key, so one long
+        # run of equal h and slots about n bits wide
+        n = 300
+        keys = kernel_keys(monkeypatch, [IncidenceBase(n, (1,) + (n - 2,) * (n - 1))])
+        assert len(keys) > n
+        for key in keys:
+            assert intersection_number(*key) == product_of_specials(*key).get((0, 1), 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs_of_equal_factors())
+    def test_runs_of_equal_factors_match_oracle(self, case):
+        n, hs = case
+        assert intersection_number(n, hs) == pieri_oracle(n, hs).get((0, 1), 0)
 
     def test_classify_cold_equals_warm(self):
         bases = enumerate_bases(9)
@@ -317,6 +352,12 @@ class TestCatalanOracle:
     def test_plucker_degree(self, n):
         catalan = factorial(2 * n - 2) // (factorial(n - 1) * factorial(n))
         assert product_of_specials(n, [n - 2] * (2 * n - 2)) == {(0, 1): catalan}
+
+    def test_kernel_plucker_degree(self):
+        # P = (1 + t)^(2n-2): its central coefficient comes nearest the slot width
+        for n in range(2, 81):
+            catalan = factorial(2 * n - 2) // (factorial(n - 1) * factorial(n))
+            assert intersection_number(n, [n - 2] * (2 * n - 2)) == catalan
 
 
 class TestRender:

@@ -1,7 +1,6 @@
 """Exact classification engine for incidence scrolls in projective n-space."""
 
 from .bases import (
-    EmptyIncidenceError,
     IncidenceBase,
     InvariantError,
     JoinResult,
@@ -14,7 +13,6 @@ from .bases import (
     parse_base,
     restrict_to_span,
     satisfies_is,
-    separate,
 )
 from .grassmann import intersection_number, product_of_specials, render
 from .invariants import (
@@ -31,10 +29,9 @@ from .invariants import (
 
 __all__ = [
     "intersection_number", "product_of_specials", "render",
-    "EmptyIncidenceError", "IncidenceBase", "InvariantError", "JoinResult",
+    "IncidenceBase", "InvariantError", "JoinResult",
     "canonicalize", "conditions_count", "enumerate_bases", "format_base",
     "is_nondegenerate", "join", "parse_base", "restrict_to_span", "satisfies_is",
-    "separate",
     "DegenerationNode", "ScrollReport",
     "classify", "degeneration_tree", "degree", "directrix_degree", "kappa",
     "node_table", "speciality",

@@ -3,8 +3,9 @@
 A base is a multiset of linear-subspace dimensions inside a fixed projective
 ambient space.  The engine only ever needs the dimensions: all counts are
 generic, so no coordinates are kept.  It works on plain (ambient, sorted
-dims) pairs, as an IncidenceBase is one, and checks a base once, where the
-public API receives it.
+dims) pairs, as an IncidenceBase is one.  IncidenceBase checks the range of
+each dimension and restrict_to_span the 2n-3 condition of its input; join
+and restrict_to_span check every base they make.
 """
 
 from __future__ import annotations
@@ -14,14 +15,10 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 
-class EmptyIncidenceError(ValueError):
-    """Restriction to the span would force a base space of negative dimension."""
-
-
 class InvariantError(RuntimeError):
     """A computed result breaks a cross-check the theory guarantees (never observed).
 
-    Every base that join, separate or restrict_to_span produces must impose
+    Every base that join or restrict_to_span produces must impose
     exactly 2n-3 conditions; the ring degree must equal the degree of the
     degeneration witness, kappa must be positive, and a join with m = 0 must
     share exactly one generator.
@@ -74,6 +71,13 @@ def satisfies_is(base: IncidenceBase) -> bool:
     return conditions_count(base) == 2 * base[0] - 3
 
 
+def _require_is(base: IncidenceBase) -> None:
+    if not satisfies_is(base):
+        raise ValueError(
+            f"{format_base(base)} is not an incidence-scroll base: "
+            f"conditions={conditions_count(base)}, required {2 * base[0] - 3}")
+
+
 def _require_result_is(base: IncidenceBase, step: str) -> None:
     if not satisfies_is(base):
         raise InvariantError(
@@ -105,11 +109,12 @@ JoinResult = namedtuple("JoinResult", "dot ddot m")
 JoinResult.__doc__ = "Outcome of degenerating a pair of base spaces into a hyperplane."
 
 
-def _join(n: int, dims: tuple[int, ...], i: int, j: int) -> tuple[tuple, tuple, int]:
-    """Canonical dims of the two components, in P^n and P^(n-1), and m."""
-    if i == j:
-        raise ValueError("join needs two distinct base spaces")
+def _pair(n: int, dims: tuple[int, ...], i: int, j: int) -> tuple[int, int, int, tuple]:
+    """(d_i, d_j, m, the other dims) of a pair that can meet in a hyperplane."""
     i, j = min(i, j), max(i, j)
+    if not 0 <= i < j < len(dims):
+        raise ValueError(
+            f"pair ({i}, {j}) is not two distinct spaces of {format_base((n, dims))}")
     di, dj = dims[i], dims[j]
     m = di + dj - n + 1
     if m < 0:
@@ -118,6 +123,12 @@ def _join(n: int, dims: tuple[int, ...], i: int, j: int) -> tuple[tuple, tuple, 
     others = dims[:i] + dims[i + 1:j] + dims[j + 1:]
     if 0 in others:
         raise ValueError("cannot push a point into the hyperplane")
+    return di, dj, m, others
+
+
+def _join(n: int, dims: tuple[int, ...], i: int, j: int) -> tuple[tuple, tuple, int]:
+    """Canonical dims of the two components, in P^n and P^(n-1), and m."""
+    di, dj, m, others = _pair(n, dims, i, j)
     dot = _canonical(n, tuple(sorted((*others, m))))
     ddot = _canonical(n - 1, tuple(sorted((*[d - 1 for d in others], di, dj))))
     return dot, ddot, m
@@ -138,35 +149,18 @@ def join(base: IncidenceBase, i: int, j: int) -> JoinResult:
     return JoinResult(dot=dot, ddot=ddot, m=m)
 
 
-def separate(base: IncidenceBase, i: int, j: int) -> IncidenceBase:
-    """Inverse of an m=0 join: lift the configuration one ambient dimension up.
-
-    Requires d_i + d_j = ambient; the pair keeps its dimensions while every
-    other base space grows by one.
-    """
-    if i == j:
-        raise ValueError("separate needs two distinct base spaces")
-    n = base.ambient
-    di, dj = base.dims[i], base.dims[j]
-    if di + dj != n:
-        raise ValueError(f"separate needs d_i + d_j = ambient, got {di}+{dj} != {n}")
-    others = tuple(d for k, d in enumerate(base.dims) if k not in (i, j))
-    lifted = canonicalize(IncidenceBase(n + 1, tuple(d + 1 for d in others) + (di, dj)))
-    _require_result_is(lifted, "separate")
-    return lifted
-
-
 def _restrict(ambient: int, dims: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(span, canonical dims) of the base re-expressed inside its span."""
+    """(span, canonical dims) of the base re-expressed inside its span.
+
+    No space empties: three spaces impose at most 2n - 3 conditions, so the
+    pair x <= y and any third space d have x + y + d >= n, and d shrinks to
+    d - n + x + y + 1 >= 1.
+    """
     current = (ambient, _canonical(ambient, dims))
     while not is_nondegenerate(current):
         n, (x, y, *rest) = current
         span = x + y + 1
         shrunk = [d - (n - span) for d in rest]
-        if any(d < 0 for d in shrunk):
-            raise EmptyIncidenceError(
-                f"no incidence scroll: {format_base((ambient, dims))} restricts "
-                f"to an empty configuration")
         current = (span, _canonical(span, tuple(sorted((x, y, *shrunk)))))
         _require_result_is(current, "restrict_to_span")
     return current
@@ -181,6 +175,7 @@ def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
     pair taken is the two smallest spaces, whose span is the smallest.
     Idempotent once the result is nondegenerate.
     """
+    _require_is(base)
     return IncidenceBase._make(_restrict(base.ambient, base.dims))
 
 

@@ -13,7 +13,7 @@ and serve as its cross-validation oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from math import comb
 
 from .bases import (
@@ -21,7 +21,6 @@ from .bases import (
     InvariantError,
     format_base,
     is_nondegenerate,
-    restrict_to_span,
     satisfies_is,
 )
 
@@ -33,19 +32,14 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
-@dataclass(frozen=True)
-class ClosedFormRecord:
-    family: str  # "p1s" | "p2s" | "p3s"
-    n: int
-    base: IncidenceBase
-    degree: int
-    genus: int
-    directrix_degree: int
-    i: int | None = None
-    j: int | None = None
-    degenerate: bool = False
-    restricted: IncidenceBase | None = None
-    extras: dict = field(default_factory=dict)
+ClosedFormRecord = namedtuple(
+    "ClosedFormRecord",
+    "family n base degree genus directrix_degree extras degenerate",
+    defaults=(None, False))
+ClosedFormRecord.__doc__ = """Closed-form invariants of one family member.
+
+family is "p1s", "p2s" or "p3s"; extras holds the Table-1 columns of the
+line family and is None for the others."""
 
 
 def _finish(record: ClosedFormRecord) -> ClosedFormRecord:
@@ -54,8 +48,7 @@ def _finish(record: ClosedFormRecord) -> ClosedFormRecord:
             f"{record.family} closed form built {format_base(record.base)}, "
             f"which is not an incidence-scroll base")
     if not is_nondegenerate(record.base):
-        return replace(record, degenerate=True,
-                       restricted=restrict_to_span(record.base))
+        return record._replace(degenerate=True)
     return record
 
 
@@ -84,8 +77,7 @@ def p2s(n: int, i: int) -> ClosedFormRecord:
     """Scroll with a base plane, i spaces of dimension n-3 in the base.
 
     Degree C(n-i,2)+i-1, genus C(n-i-2,2), plane directrix of degree n-i-1.
-    Degenerate corners (e.g. n=4, i=2) are flagged and carry the base of
-    the scroll restricted to its actual span.
+    Degenerate corners (e.g. n=4, i=2) are flagged.
     """
     if n < 4:
         raise ValueError(f"plane family needs n >= 4, got {n}")
@@ -93,7 +85,7 @@ def p2s(n: int, i: int) -> ClosedFormRecord:
         raise ValueError(f"need 0 <= i <= n/2, got i={i} for n={n}")
     base = IncidenceBase(n, (2,) + (n - 3,) * i + (n - 2,) * (n - 2 * i))
     return _finish(ClosedFormRecord(
-        family="p2s", n=n, i=i, base=base,
+        family="p2s", n=n, base=base,
         degree=binom(n - i, 2) + i - 1,
         genus=binom(n - i - 2, 2),
         directrix_degree=n - i - 1,
@@ -118,24 +110,20 @@ def p3s(n: int, j: int, i: int) -> ClosedFormRecord:
     base = IncidenceBase(
         n, (3,) + (n - 4,) * j + (n - 3,) * i + (n - 2,) * (n + 1 - 3 * j - 2 * i))
     return _finish(ClosedFormRecord(
-        family="p3s", n=n, j=j, i=i, base=base,
+        family="p3s", n=n, base=base,
         degree=binom(q + 1, 3) - q + (i + j) * q + j - 1,
         genus=binom(q, 3) + binom(q - 1, 3) - 2 * q + (i + j) * (q - 2) + 4,
         directrix_degree=binom(q, 2) + i + j - 1,
     ))
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One printed row of a classification table, with its fixture values."""
+TableRow = namedtuple(
+    "TableRow",
+    "label record star printed_degree printed_genus printed_directrix note")
+TableRow.__doc__ = """One printed row of a classification table, with its fixture values.
 
-    label: str  # e.g. "R^14_8 in P^5"
-    record: ClosedFormRecord
-    star: bool
-    printed_degree: int
-    printed_genus: int
-    printed_directrix: int | None  # None: the row prints no such curve
-    note: str | None = None
+label reads e.g. "R^14_8 in P^5"; printed_directrix is None when the row
+prints no such curve."""
 
 
 def _row(label, record, *, star=False, directrix=None, note=None) -> TableRow:

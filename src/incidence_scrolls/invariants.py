@@ -16,22 +16,15 @@ from .bases import (
     IncidenceBase,
     InvariantError,
     _join,
+    _pair,
+    _require_is,
     _require_result_is,
     _restrict,
     canonicalize,
-    conditions_count,
     format_base,
     is_nondegenerate,
-    satisfies_is,
 )
 from .grassmann import intersection_number
-
-
-def _require_is(base: IncidenceBase) -> None:
-    if not satisfies_is(base):
-        raise ValueError(
-            f"{format_base(base)} is not an incidence-scroll base: "
-            f"conditions={conditions_count(base)}, required {2 * base.ambient - 3}")
 
 
 def _checked(base: IncidenceBase) -> IncidenceBase:
@@ -57,14 +50,7 @@ def degree(base: IncidenceBase) -> int:
 
 
 def _kappa(n: int, dims: tuple[int, ...], i: int, j: int) -> int:
-    i, j = min(i, j), max(i, j)
-    di, dj = dims[i], dims[j]
-    m = di + dj - n + 1
-    if m < 0:
-        raise ValueError("pair admits no hyperplane specialization (m < 0)")
-    others = dims[:i] + dims[i + 1:j] + dims[j + 1:]
-    if 0 in others:
-        raise ValueError("cannot compute kappa with a point outside the pair")
+    _, _, m, others = _pair(n, dims, i, j)
     value = intersection_number(n - 1, (m, *[d - 1 for d in others]))
     if value < 1:
         raise InvariantError(f"kappa must be positive, got {value}")
@@ -204,6 +190,8 @@ def directrix_degree(base: IncidenceBase, which: int) -> int:
     of generators meeting a generic hyperplane trace of that space.
     """
     _require_is(base)
+    if not 0 <= which < len(base.dims):
+        raise ValueError(f"space {which} is not a space of {format_base(base)}")
     return _directrix_degree(base.ambient, base.dims, which)
 
 

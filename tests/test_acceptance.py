@@ -12,11 +12,11 @@ from incidence_scrolls.bases import (
     enumerate_bases,
     join,
     restrict_to_span,
-    separate,
 )
 from incidence_scrolls.closed_forms import p2s, p3s, table
 from incidence_scrolls.grassmann import intersection_number, product_of_specials
 from incidence_scrolls.invariants import classify, degeneration_tree, kappa
+from oracles import separate
 
 
 @contextmanager

@@ -1,11 +1,11 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incidence_scrolls.bases import (
-    EmptyIncidenceError,
     IncidenceBase,
     canonicalize,
     conditions_count,
@@ -16,8 +16,8 @@ from incidence_scrolls.bases import (
     parse_base,
     restrict_to_span,
     satisfies_is,
-    separate,
 )
+from oracles import separate
 
 
 def B(ambient, *dims):
@@ -51,7 +51,7 @@ def restriction_pair_oracle(base):
 
 
 def restrict_oracle(base):
-    """restrict_to_span by all-pairs scans; None for an empty configuration."""
+    """restrict_to_span by all-pairs scans."""
     current = canonicalize(base)
     while (pair := restriction_pair_oracle(current)) is not None:
         x, y = pair
@@ -60,8 +60,6 @@ def restrict_oracle(base):
         rest.remove(y)
         span = x + y + 1
         shrunk = [d - (current.ambient - span) for d in rest]
-        if any(d < 0 for d in shrunk):
-            return None
         current = canonicalize(IncidenceBase(span, (x, y, *shrunk)))
     return current
 
@@ -82,11 +80,7 @@ def assert_pair_rules_agree(base):
     """The rules read off the sorted dims give what the all-pairs scans give."""
     assert is_nondegenerate(base) == nondegenerate_oracle(base)
     assert restriction_pair_oracle(base) in (None, base.dims[:2])
-    try:
-        restricted = restrict_to_span(base)
-    except EmptyIncidenceError:
-        restricted = None
-    assert restricted == restrict_oracle(base)
+    assert restrict_to_span(base) == restrict_oracle(base)
     if is_nondegenerate(base) and 0 not in base.dims:
         # the bases the genus recursion joins: it takes the two smallest
         assert join_pair_oracle(base) == (0, 1)
@@ -210,6 +204,12 @@ class TestJoin:
         with pytest.raises(ValueError):
             join(B(6, 2, 2, 3, 4), 0, 1)  # 2+2-6+1 < 0
 
+    @pytest.mark.parametrize("i,j", [(-1, 3), (0, 5), (1, 1)])
+    def test_bad_pair_rejected(self, i, j):
+        with pytest.raises(ValueError, match=rf"pair \({i}, {j}\) is not two "
+                                             r"distinct spaces of n=6 dims=2,3,3,4,4"):
+            join(B(6, 2, 3, 3, 4, 4), i, j)
+
     def test_children_satisfy_is(self):
         for n in range(3, 7):
             for base in enumerate_bases(n, nondegenerate_only=True):
@@ -258,13 +258,18 @@ class TestRestrictToSpan:
             for base in enumerate_bases(n, nondegenerate_only=True):
                 assert restrict_to_span(base) == base
 
+    @pytest.mark.parametrize("base", [B(5, 1, 1), B(5, 3, 3), B(9, 1, 2, 3)])
+    def test_rejects_non_scroll_input(self, base):
+        # ValueError (exit 2), never the engine-fault class InvariantError
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{format_base(base)} is not an incidence-scroll base")):
+            restrict_to_span(base)
+
     def test_preserves_is(self):
-        for n in range(3, 8):
+        # no space of an incidence-scroll base empties on the way to its span
+        for n in range(3, 13):
             for base in enumerate_bases(n):
-                try:
-                    restricted = restrict_to_span(base)
-                except EmptyIncidenceError:
-                    continue
+                restricted = restrict_to_span(base)
                 assert satisfies_is(restricted)
                 assert is_nondegenerate(restricted)
 

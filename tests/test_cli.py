@@ -324,12 +324,23 @@ class TestExitCodes:
 
 
 class TestStartup:
+    @staticmethod
+    def loaded_after_import(module, names):
+        code = (f"import sys, {module}; "
+                f"print([m for m in {names!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
     def test_import_skips_unneeded_modules(self):
         # every process pays for what `import incidence_scrolls.cli` loads;
         # closed_forms is imported by `table` alone
         unneeded = ["ast", "dataclasses", "incidence_scrolls.closed_forms", "inspect"]
-        code = ("import sys, incidence_scrolls.cli; "
-                f"print([m for m in {unneeded!r} if m in sys.modules])")
-        proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
-                              capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+        assert self.loaded_after_import("incidence_scrolls.cli", unneeded) == "[]\n"
+
+    def test_closed_forms_skips_unneeded_modules(self):
+        # every `scrolls table` process pays for what closed_forms loads
+        unneeded = ["ast", "dataclasses", "inspect"]
+        assert self.loaded_after_import("incidence_scrolls.closed_forms",
+                                        unneeded) == "[]\n"

@@ -3,7 +3,7 @@ import traceback
 
 import pytest
 
-from incidence_scrolls.bases import IncidenceBase, join
+from incidence_scrolls.bases import IncidenceBase, join, restrict_to_span
 from incidence_scrolls.closed_forms import binom, p1s, p2s, p3s, table
 from incidence_scrolls.invariants import classify
 
@@ -94,7 +94,7 @@ class TestPlaneFamily:
         record = p2s(4, 2)
         assert record.degenerate
         assert record.base == B(4, 1, 1, 2)
-        assert record.restricted == B(3, 1, 1, 1)
+        assert restrict_to_span(record.base) == B(3, 1, 1, 1)
         assert (record.degree, record.genus) == (2, 0)
 
     def test_engine_agreement(self):

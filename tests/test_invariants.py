@@ -20,7 +20,6 @@ from incidence_scrolls.bases import (
     parse_base,
     restrict_to_span,
     satisfies_is,
-    separate,
 )
 from incidence_scrolls.grassmann import product_of_specials
 from incidence_scrolls.invariants import (
@@ -33,6 +32,7 @@ from incidence_scrolls.invariants import (
     node_table,
     speciality,
 )
+from oracles import separate
 
 
 def B(ambient, *dims):
@@ -174,6 +174,12 @@ class TestKappa:
     def test_inadmissible_pair(self):
         with pytest.raises(ValueError):
             kappa(B(6, 2, 2, 3, 4), 0, 1)  # m = 2+2-6+1 < 0
+
+    @pytest.mark.parametrize("i,j", [(-1, 3), (0, 5), (1, 1)])
+    def test_bad_pair_rejected(self, i, j):
+        with pytest.raises(ValueError, match=rf"pair \({i}, {j}\) is not two "
+                                             r"distinct spaces of n=6 dims=2,3,3,4,4"):
+            kappa(B(6, 2, 3, 3, 4, 4), i, j)
 
 
 class TestGenus:
@@ -330,6 +336,12 @@ class TestDirectrixDegree:
         with pytest.raises(ValueError):
             directrix_degree(B(3, 0, 1), 0)
 
+    @pytest.mark.parametrize("which", [-1, 5])
+    def test_bad_index_rejected(self, which):
+        with pytest.raises(ValueError, match=rf"space {which} is not a space of "
+                                             r"n=6 dims=2,3,3,4,4"):
+            directrix_degree(B(6, 2, 3, 3, 4, 4), which)
+
 
 class TestSpeciality:
     def test_nonspecial(self):
@@ -435,8 +447,8 @@ print("debug", __debug__)
 bases.satisfies_is = closed_forms.satisfies_is = lambda base: False
 steps = [
     lambda: bases.join(IncidenceBase(5, (3,) * 7), 0, 1),
-    lambda: bases.separate(IncidenceBase(6, (2, 3, 3, 4, 4)), 0, 3),
-    lambda: bases.restrict_to_span(IncidenceBase(6, (2, 2, 3, 4))),
+    # restrict_to_span would reject the input before its first step
+    lambda: bases._restrict(6, (2, 2, 3, 4)),
     lambda: closed_forms.p1s(4),
 ]
 for step in steps:
@@ -511,8 +523,6 @@ class TestCrossChecks:
         assert run_optimized(BASE_CHECKS_WITHOUT_IS) == [
             "debug False",
             "InvariantError: join produced n=5 dims=2,3,3,3,3,3, which is "
-            "not an incidence-scroll base",
-            "InvariantError: separate produced n=7 dims=2,4,4,4,5, which is "
             "not an incidence-scroll base",
             "InvariantError: restrict_to_span produced n=5 dims=2,2,2,3, "
             "which is not an incidence-scroll base",

@@ -4,7 +4,8 @@ products of special Schubert classes on the Grassmannian of lines G(1,n).
 `analyze --tree` prints the degeneration witness as a node table, one line
 (or, in json, one row) per distinct sub-base, children before parents and
 the root last; `invariants.node_table` defines the rows.  It needs
-`--format text` or `json`: with `csv` or `md` it exits 2.
+`--format text` or `json`: with `csv` or `md` it exits 2.  `product` takes
+only `--format text` or `json`.
 
 Exit codes: 0 success, 2 invalid input, 4 a cross-check of the engine's
 results failed, such as the ring degree against the degeneration witness or
@@ -29,6 +30,7 @@ from .invariants import (
     InvariantError,
     ScrollReport,
     classify,
+    degeneration_tree,
     node_table,
 )
 
@@ -113,12 +115,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError("--tree needs --format text or json")
     base = IncidenceBase(args.ambient, _parse_dims(args.base))
     report = classify(base)
+    # the memoized witness that classify checked the ring degree against
+    table = node_table(degeneration_tree(report.base)) if args.tree else None
     if args.format == "json":
-        print(json.dumps(report.to_dict(include_tree=args.tree), indent=2))
+        out = report.to_dict()
+        if table:
+            out["tree"] = table
+        print(json.dumps(out, indent=2))
     else:
         print(_render_rows([_report_row(report)], REPORT_COLUMNS, args.format))
-        if args.tree:
-            print(_render_witness(node_table(report.tree)))
+        if table:
+            print(_render_witness(table))
     return 0
 
 
@@ -197,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify incidence scrolls in projective n-space.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=["text", "json", "csv", "md"],
-                       default="text")
+    def add_common(p, choices=("text", "json", "csv", "md")):
+        p.add_argument("--format", choices=choices, default="text")
 
     p_enum = sub.add_parser("enumerate", help="list and classify all bases in P^n")
     p_enum.add_argument("-n", "--ambient", type=int, required=True)
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="1,n for lines in P^n, e.g. 1,5")
     p_product.add_argument("--specials", required=True,
                            help="comma-separated special parameters")
-    add_common(p_product)
+    add_common(p_product, ("text", "json"))
     p_product.set_defaults(func=cmd_product)
     return parser
 

@@ -210,16 +210,13 @@ class ScrollReport(namedtuple(
     """Full classification record of the incidence scroll of one base.
 
     directrix holds (space_dim, curve_degree, curve_genus) triples; the
-    witness `tree` is left out of equality, hashing and repr.
+    witness that checked the degree is `degeneration_tree(base)`.
     """
 
-    def __new__(cls, base, span, degree, genus, h1, special, directrix, tree=None):
-        self = super().__new__(cls, base, span, degree, genus, h1, special, directrix)
-        self.tree = tree
-        return self
+    __slots__ = ()
 
-    def to_dict(self, include_tree: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "ambient": self.base.ambient,
             "dims": list(self.base.dims),
             "span": self.span,
@@ -232,9 +229,6 @@ class ScrollReport(namedtuple(
                 for a, d, g in self.directrix
             ],
         }
-        if include_tree:
-            out["tree"] = node_table(self.tree)
-        return out
 
 
 def classify(base: IncidenceBase) -> ScrollReport:
@@ -256,4 +250,4 @@ def classify(base: IncidenceBase) -> ScrollReport:
         for a in sorted(set(effective))
         if a >= 1
     )
-    return ScrollReport(base, span, d, g, h1, h1 > 0, directrix, node)
+    return ScrollReport(base, span, d, g, h1, h1 > 0, directrix)

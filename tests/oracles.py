@@ -1,6 +1,7 @@
 """Helpers shared by the test modules that the package itself does not need."""
 
 from incidence_scrolls.bases import IncidenceBase, canonicalize, satisfies_is
+from incidence_scrolls.grassmann import intersection_number
 
 
 def separate(base, i, j):
@@ -19,3 +20,21 @@ def separate(base, i, j):
     lifted = canonicalize(IncidenceBase(n + 1, tuple(d + 1 for d in others) + (di, dj)))
     assert satisfies_is(lifted), lifted
     return lifted
+
+
+def adjunction_genus(base):
+    """Genus of the scroll of a base by adjunction, without the recursion.
+
+    The curve of lines lifts to a complete intersection in the fibre product
+    of r copies of P(S) over G(1,n), so 2g - 2 = (r - n - 1) d + sum over the
+    r canonical spaces of (c_j - 1) e_j, with c_j = n - 1 - h_j and e_j the
+    intersection number with h_j lowered by one (0 for a point).
+    """
+    n, dims = canonicalize(base)
+    total = (len(dims) - n - 1) * intersection_number(n, dims + (n - 2,))
+    for j, h in enumerate(dims):
+        if h:
+            e = intersection_number(n, dims[:j] + (h - 1,) + dims[j + 1:])
+            total += (n - 2 - h) * e
+    assert total % 2 == 0, (base, total)
+    return total // 2 + 1

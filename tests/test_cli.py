@@ -224,6 +224,16 @@ class TestProduct:
         data = json.loads(out)
         assert data == {"grassmann": [1, 4], "product": "5*w(0,1)"}
 
+    @pytest.mark.parametrize("fmt", ["csv", "md"])
+    def test_only_text_or_json(self, capsys, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main(["product", "--grassmann", "1,5", "--specials", "2,3,3,3,3,3,3",
+                  "--format", fmt])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --format: invalid choice: '{fmt}'" in err
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "product", "--grassmann", "1,4",
                            "--specials", "3")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from incidence_scrolls import grassmann, invariants
 from incidence_scrolls.bases import IncidenceBase, enumerate_bases
 from incidence_scrolls.grassmann import intersection_number, product_of_specials, render
-from incidence_scrolls.invariants import classify, node_table
+from incidence_scrolls.invariants import classify, degeneration_tree, node_table
 
 
 def pieri_oracle(n, hs):
@@ -319,13 +319,15 @@ class TestKernelMemo:
     def test_classify_cold_equals_warm(self):
         bases = enumerate_bases(9)
         warm = [classify(base) for base in bases]
-        cold = []
+        warm_trees = [node_table(degeneration_tree(base)) for base in bases]
+        cold, cold_trees = [], []
         for base in bases:
             invariants._nodes.clear()
             grassmann._point_coefficient.cache_clear()
             cold.append(classify(base))
+            cold_trees.append(node_table(degeneration_tree(base)))
         assert cold == warm
-        assert [node_table(r.tree) for r in cold] == [node_table(r.tree) for r in warm]
+        assert cold_trees == warm_trees
 
     def test_one_cache_serves_every_caller(self, monkeypatch):
         asked = defaultdict(set)  # caller name -> keys it asked for

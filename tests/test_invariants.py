@@ -32,7 +32,7 @@ from incidence_scrolls.invariants import (
     node_table,
     speciality,
 )
-from oracles import separate
+from oracles import adjunction_genus, separate
 
 
 def B(ambient, *dims):
@@ -195,6 +195,14 @@ class TestGenus:
     def test_values(self, base, g):
         assert degeneration_tree(base).genus == g
 
+    def test_adjunction_on_every_base(self):
+        bases = [base for n in range(3, 14) for base in enumerate_bases(n)]
+        # the sweep covers degenerate bases and bases with a point
+        assert any(0 in base.dims for base in bases)
+        assert any(not is_nondegenerate(base) for base in bases)
+        for base in bases:
+            assert adjunction_genus(base) == classify(base).genus, base
+
     def test_degenerate_base(self):
         # {P^2, P^2, P^3, P^4} in P^6 spans only a P^5
         node = degeneration_tree(B(6, 2, 2, 3, 4))
@@ -316,10 +324,10 @@ class TestDegenerationTree:
         monkeypatch.undo()
         assert invariants._nodes
         after_failure = classify(base)
+        after_failure_tree = node_table(degeneration_tree(base))
         invariants._nodes.clear()
-        cold = classify(base)
-        assert after_failure == cold
-        assert node_table(after_failure.tree) == node_table(cold.tree)
+        assert classify(base) == after_failure
+        assert node_table(degeneration_tree(base)) == after_failure_tree
 
 
 class TestDirectrixDegree:
@@ -393,13 +401,24 @@ class TestClassify:
 
     def test_to_dict(self):
         base = B(4, 1, 2, 2, 2)
-        d = classify(base).to_dict(include_tree=True)
+        d = classify(base).to_dict()
         assert d["dims"] == [1, 2, 2, 2]
         assert d["degree"] == 3 and d["h1"] == 0
-        assert list(d)[-1] == "tree"
-        assert d["tree"]["nodes"][d["tree"]["root"]]["action"] == "join"
-        check_witness(base, d["tree"])
-        assert "tree" not in classify(base).to_dict()
+        assert "tree" not in d
+        table = node_table(degeneration_tree(base))
+        assert table["nodes"][table["root"]]["action"] == "join"
+        check_witness(base, table)
+
+    def test_report_is_plain_data(self):
+        report = classify(B(4, 1, 2, 2, 2))
+        assert not hasattr(report, "__dict__")
+        assert not hasattr(report, "tree")
+        with pytest.raises(AttributeError):
+            report.tree = degeneration_tree(report.base)
+        with pytest.raises(TypeError):
+            report.to_dict(True)
+        with pytest.raises(TypeError):
+            report.to_dict(include_tree=True)
 
     def test_speciality_consistency(self):
         # h1 recomputed from span/degree/genus on every base through P^7
@@ -551,6 +570,11 @@ class TestRandomBases:
         result = join(effective, *pair)
         for part in (result.dot, result.ddot):
             check_witness(part, node_table(degeneration_tree(part)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases())
+    def test_genus_by_adjunction(self, base):
+        assert adjunction_genus(base) == classify(base).genus
 
     @settings(max_examples=150, deadline=None)
     @given(random_bases())

@@ -8,11 +8,11 @@ the root last; `invariants.node_table` defines the rows.  It needs
 only `--format text` or `json`.
 
 Exit codes: 0 success, 2 invalid input, 4 a cross-check of the engine's
-results failed, such as the ring degree against the degeneration witness or
-a join yielding a base that does not impose 2n-3 conditions, 141 the reader
-of stdout exited before reading all the output, as in `scrolls ... | head`
-(the status a shell reports for a process killed by SIGPIPE).  The checks
-also run under python -O.
+results failed, such as the ring degree against the degeneration witness, the
+genus against adjunction or a join yielding a base that does not impose 2n-3
+conditions, 141 the reader of stdout exited before reading all the output, as
+in `scrolls ... | head` (the status a shell reports for a process killed by
+SIGPIPE).  The checks also run under python -O.
 """
 
 from __future__ import annotations

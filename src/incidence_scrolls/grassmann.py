@@ -4,16 +4,15 @@ A Schubert class of G(1, n) is w(a0, a1) with 0 <= a0 < a1 <= n: the lines
 meeting a fixed P^a0 and lying in a P^a1 through it.  Its dimension is
 a0 + a1 - 1; the fundamental class is w(n-1, n) and the point class w(0, 1).
 The special class of parameter h, the lines meeting a fixed P^h, is w(h, n)
-of codimension n - 1 - h.  All coefficients are exact Python integers.
-`product_of_specials` folds Pieri's rule into the whole class, while
-`intersection_number` gives only the point coefficient, from one integer product.
+of codimension c = n - 1 - h.  Every coefficient of a product is a two-row
+Kostka number, read off the integer prod(1 + t + ... + t^c_i) at t = 2^b.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from collections.abc import Iterable
+import math
+from collections.abc import Callable, Iterable
 
 
 def _check_parameters(n: int, hs: Iterable[int]) -> None:
@@ -24,33 +23,40 @@ def _check_parameters(n: int, hs: Iterable[int]) -> None:
             raise ValueError(f"special parameter {h} out of range [0, {n - 2}]")
 
 
+def _coefficients(n: int, hs: tuple[int, ...]) -> Callable[[int], int]:
+    """Reader k -> [t^k]P, k >= 0, of P = prod(1 + t + ... + t^c_i).
+
+    P is one int, at t = 2^b > P(1) = prod(c_i + 1): no b-bit slot carries.
+    """
+    b = math.prod(n - h for h in hs).bit_length()
+    mask = (1 << b) - 1
+    p = 1
+    for h in set(hs):
+        p *= (((1 << b * (n - h)) - 1) // mask) ** hs.count(h)
+    return lambda k: p >> b * k & mask
+
+
 def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]:
     """Product of the special classes of parameters hs, as {(a0, a1): coeff}.
 
-    Folds Pieri's rule from the fundamental class: w(a0, a1) times the
-    special class of h is the sum of w(b0, b1) over 0 <= b0 <= a0 < b1 <= a1
-    with b0 + b1 = a0 + a1 - (n - 1 - h).  Zero coefficients are never stored.
+    With S = sum c_i, the coefficient of w(n-1-S+l, n-l) for
+    max(0, S-n+1) <= l <= S // 2 is K_{(S-l, l), c} = [t^l]P - [t^(l-1)]P
+    (Fulton, Young Tableaux, 2.2 and 9.4).  Zero coefficients are never stored.
     """
-    hs = list(hs)
+    hs = tuple(hs)
     _check_parameters(n, hs)
-    terms = {(n - 1, n): 1}
-    for h in hs:
-        out: dict[tuple[int, int], int] = {}
-        for (a0, a1), coeff in terms.items():
-            s = a0 + a1 - (n - 1 - h)
-            for b0 in range(max(0, s - a1), min(a0, s - a0 - 1) + 1):
-                key = (b0, s - b0)
-                out[key] = out.get(key, 0) + coeff
-        terms = out
-    return terms
+    s = (n - 1) * len(hs) - sum(hs)
+    if s > 2 * (n - 1):
+        return {}  # past the point class; P would have about S^2 bits
+    slot = _coefficients(n, hs)
+    return {(n - 1 - s + l, n - l): coeff
+            for l in range(max(0, s - n + 1), s // 2 + 1)
+            if (coeff := slot(l) - (l and slot(l - 1)))}
 
 
 def intersection_number(n: int, hs: Iterable[int]) -> int:
-    """Coefficient of the point class w(0, 1) in a zero-dimensional product.
-
-    The two-row Kostka number K_{(n-1,n-1), c}, c_i = n - 1 - h_i (Fulton, Young
-    Tableaux, 2.2 and 9.4), read off the integer prod(1 + t + ... + t^c_i) at
-    t = 2^b; memoized on n and the sorted hs for degree, directrix and kappa.
+    """Coefficient K_{(n-1,n-1), c} of the point class w(0, 1) in a product
+    of total codimension 2(n-1); memoized on n and the sorted hs.
     """
     return _point_coefficient(n, tuple(sorted(hs)))
 
@@ -63,14 +69,8 @@ def _point_coefficient(n: int, hs: tuple[int, ...]) -> int:
         raise ValueError(
             f"total codimension {total} != dim G(1,{n}) = {2 * (n - 1)}")
     _check_parameters(n, hs)
-    # K = [t^(n-1)]P - [t^n]P for P = prod(1 + t + ... + t^c_i), read off P(2^b):
-    # each coefficient is below P(1) = prod(c_i + 1) <= 2^b: no b-bit slot carries
-    b = sum((n - 1 - h).bit_length() for h in hs)
-    mask = (1 << b) - 1
-    p = 1
-    for h, run in itertools.groupby(hs):
-        p *= (((1 << b * (n - h)) - 1) // mask) ** len(list(run))
-    return ((p >> b * (n - 1)) & mask) - ((p >> b * n) & mask)
+    slot = _coefficients(n, hs)
+    return slot(n - 1) - slot(n - 2)
 
 
 def render(terms: dict[tuple[int, int], int]) -> str:

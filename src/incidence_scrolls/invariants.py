@@ -5,7 +5,7 @@ genus is computed by recursively degenerating the configuration: two base
 spaces are pushed into a hyperplane, the scroll breaks into two smaller
 incidence scrolls sharing kappa generators, and the genera add up as
 g = g1 + g2 + kappa - 1.  Every computation records its degeneration witness,
-whose repeated sub-bases are shared.
+whose repeated sub-bases are shared, and checks the genus by adjunction.
 """
 
 from __future__ import annotations
@@ -243,11 +243,17 @@ def classify(base: IncidenceBase) -> ScrollReport:
     g = node.genus
 
     span, effective = _restrict(*base)
-    h1 = speciality(span, d, g)
-
     directrix = tuple(
         (a, _directrix_degree(span, effective, effective.index(a)), g)
         for a in sorted(set(effective))
         if a >= 1
     )
+    # adjunction on the curve of lines of r spaces in P^s, e_a the directrix
+    # degree: 2g - 2 = (r - s - 1) d + sum over the spaces of (s - 2 - a) e_a
+    twice = (len(effective) - span - 1) * d + sum(
+        effective.count(a) * (span - 2 - a) * e for a, e, _ in directrix)
+    if twice != 2 * g - 2:
+        raise InvariantError(f"adjunction gives 2g - 2 = {twice}, not the degeneration "
+                             f"genus {g}, for {format_base(base)}")
+    h1 = speciality(span, d, g)
     return ScrollReport(base, span, d, g, h1, h1 > 0, directrix)

@@ -4,6 +4,25 @@ from incidence_scrolls.bases import IncidenceBase, canonicalize, satisfies_is
 from incidence_scrolls.grassmann import intersection_number
 
 
+def pieri_fold(n, hs):
+    """Product of special classes on G(1, n) by Pieri's rule, as {(a0, a1): coeff}.
+
+    Folds from the fundamental class: w(a0, a1) times the special class of h
+    is the sum of w(b0, b1) over 0 <= b0 <= a0 < b1 <= a1 with
+    b0 + b1 = a0 + a1 - (n - 1 - h).  Zero coefficients are never stored.
+    """
+    terms = {(n - 1, n): 1}
+    for h in hs:
+        out = {}
+        for (a0, a1), coeff in terms.items():
+            s = a0 + a1 - (n - 1 - h)
+            for b0 in range(max(0, s - a1), min(a0, s - a0 - 1) + 1):
+                key = (b0, s - b0)
+                out[key] = out.get(key, 0) + coeff
+        terms = out
+    return terms
+
+
 def separate(base, i, j):
     """Inverse of an m=0 join: lift the configuration one ambient dimension up.
 

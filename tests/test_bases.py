@@ -210,6 +210,10 @@ class TestJoin:
                                              r"distinct spaces of n=6 dims=2,3,3,4,4"):
             join(B(6, 2, 3, 3, 4, 4), i, j)
 
+    def test_point_cannot_be_pushed(self):
+        with pytest.raises(ValueError, match="^cannot push a point into the hyperplane$"):
+            join(B(4, 0, 2, 2), 1, 2)
+
     def test_children_satisfy_is(self):
         for n in range(3, 7):
             for base in enumerate_bases(n, nondegenerate_only=True):
@@ -284,6 +288,12 @@ class TestCanonicalize:
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             IncidenceBase(5, (5,))
+
+    def test_rejects_ambient_below_two(self):
+        with pytest.raises(ValueError, match="^ambient projective dimension must be "
+                                             ">= 2, got 1$"):
+            IncidenceBase(1, ())
+        assert IncidenceBase(2, ()) == (2, ())
 
 
 class TestTextFormat:

@@ -84,6 +84,25 @@ class TestEnumerate:
         assert lines[0].startswith("base,span,degree,genus,h1,special")
         assert len(lines) == 2
 
+    def test_md_format(self, capsys):
+        code, out, err = run(capsys, "enumerate", "-n", "4", "--format", "md")
+        assert (code, err) == (0, "")
+        assert out == (
+            "| base               | span | degree | genus | h1 | special "
+            "| directrix                  |\n"
+            "|--------------------|------|--------|-------|----|---------"
+            "|----------------------------|\n"
+            "| n=4 dims=1,1,2     | 3    | 2      | 0     | 0  | False   "
+            "| C^1_0 in P^1               |\n"
+            "| n=4 dims=1,2,2,2   | 4    | 3      | 0     | 0  | False   "
+            "| C^1_0 in P^1; C^2_0 in P^2 |\n"
+            "| n=4 dims=2,2,2,2,2 | 4    | 5      | 1     | 0  | False   "
+            "| C^3_1 in P^2               |\n")
+        # no row: each column is as wide as its name
+        assert run(capsys, "enumerate", "-n", "4", "--genus", "7", "--format", "md") == (
+            0, "| base | span | degree | genus | h1 | special | directrix |\n"
+               "|------|------|--------|-------|----|---------|-----------|\n", "")
+
     def test_no_ambient_cap(self, capsys):
         code, out, err = run(capsys, "enumerate", "-n", "13")
         assert (code, err) == (0, "")
@@ -165,6 +184,20 @@ class TestAnalyze:
         assert run(capsys, "analyze", "-n", "6", "--base", "2,3,3,4,4", "--tree",
                    "--format", fmt) == \
             (2, "", "error: --tree needs --format text or json\n")
+
+    def test_md_format(self, capsys):
+        assert run(capsys, "analyze", "-n", "5", "--base", "2,3,3,3,3,3",
+                   "--format", "md") == (0, (
+                       "| base                 | span | degree | genus | h1 | special "
+                       "| directrix                  |\n"
+                       "|----------------------|------|--------|-------|----|---------"
+                       "|----------------------------|\n"
+                       "| n=5 dims=2,3,3,3,3,3 | 5    | 9      | 3     | 1  | True    "
+                       "| C^4_3 in P^2; C^6_3 in P^3 |\n"), "")
+
+    def test_ambient_below_two(self, capsys):
+        assert run(capsys, "analyze", "-n", "1", "--base", "0") == (
+            2, "", "error: ambient projective dimension must be >= 2, got 1\n")
 
     def test_not_a_base(self, capsys):
         assert run(capsys, "analyze", "-n", "5", "--base", "2,3") == (
@@ -265,6 +298,15 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert "disagrees" in err
+
+    def test_wrong_genus_exits_4(self, capsys, monkeypatch):
+        # kappa + 1 on the joins with m > 0: every degree holds, the genus does not
+        shared = invariants._kappa
+        monkeypatch.setattr(invariants, "_kappa", lambda n, dims, i, j: shared(
+            n, dims, i, j) + (invariants._pair(n, dims, i, j)[2] > 0))
+        assert run(capsys, "analyze", "-n", "5", "--base", "3,3,3,3,3,3,3") == (
+            4, "", "error: adjunction gives 2g - 2 = 14, not the degeneration "
+            "genus 12, for n=5 dims=3,3,3,3,3,3,3\n")
 
     def test_wrong_kernel_is_caught_under_optimize(self):
         # the tree degree adds leaves and never asks the kernel, so an

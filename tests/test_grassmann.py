@@ -12,6 +12,7 @@ from incidence_scrolls import grassmann, invariants
 from incidence_scrolls.bases import IncidenceBase, enumerate_bases
 from incidence_scrolls.grassmann import intersection_number, product_of_specials, render
 from incidence_scrolls.invariants import classify, degeneration_tree, node_table
+from oracles import pieri_fold
 
 
 def pieri_oracle(n, hs):
@@ -140,6 +141,20 @@ class TestPieri:
         with pytest.raises(ValueError):
             product_of_specials(4, [1, 4])
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_multiset_matches_the_fold(self, n):
+        # up to 2n + 1 factors: the empty product (the fundamental class),
+        # every class down to the point, and products past it, which vanish
+        classes, vanishing = set(), 0
+        for k in range(2 * n + 2):
+            for hs in itertools.combinations_with_replacement(range(n - 1), k):
+                product = product_of_specials(n, hs)
+                assert product == pieri_fold(n, hs)
+                classes |= product.keys()
+                vanishing += not product
+        assert len(classes) == n * (n + 1) // 2
+        assert vanishing
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_oracle(self, data):
@@ -171,6 +186,7 @@ class TestMultiplySum:
         # past the point class the product vanishes and stays zero
         assert product_of_specials(5, [3] * 9) == {}
         assert product_of_specials(5, [3] * 9 + [0]) == {}
+        assert product_of_specials(5, [3] * 10**5) == {}
 
     def test_proof_chain_g15(self):
         # w(2,5) times five special cycles of a solid passes through 9*w(0,2);
@@ -299,7 +315,7 @@ class TestKernelMemo:
         keys = kernel_keys(monkeypatch, enumerate_bases(n))
         assert keys
         for key in keys:
-            assert intersection_number(*key) == product_of_specials(*key).get((0, 1), 0)
+            assert intersection_number(*key) == pieri_fold(*key).get((0, 1), 0)
 
     def test_every_line_family_key_matches_the_fold(self, monkeypatch):
         # {P^1, (n-1) P^(n-2)}: about n codim-1 factors per key, so one long
@@ -308,7 +324,7 @@ class TestKernelMemo:
         keys = kernel_keys(monkeypatch, [IncidenceBase(n, (1,) + (n - 2,) * (n - 1))])
         assert len(keys) > n
         for key in keys:
-            assert intersection_number(*key) == product_of_specials(*key).get((0, 1), 0)
+            assert intersection_number(*key) == pieri_fold(*key).get((0, 1), 0)
 
     @settings(max_examples=100, deadline=None)
     @given(runs_of_equal_factors())

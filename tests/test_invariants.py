@@ -21,7 +21,6 @@ from incidence_scrolls.bases import (
     restrict_to_span,
     satisfies_is,
 )
-from incidence_scrolls.grassmann import product_of_specials
 from incidence_scrolls.invariants import (
     InvariantError,
     classify,
@@ -32,7 +31,7 @@ from incidence_scrolls.invariants import (
     node_table,
     speciality,
 )
-from oracles import adjunction_genus, separate
+from oracles import adjunction_genus, pieri_fold, separate
 
 
 def B(ambient, *dims):
@@ -180,6 +179,10 @@ class TestKappa:
         with pytest.raises(ValueError, match=rf"pair \({i}, {j}\) is not two "
                                              r"distinct spaces of n=6 dims=2,3,3,4,4"):
             kappa(B(6, 2, 3, 3, 4, 4), i, j)
+
+    def test_point_cannot_be_pushed(self):
+        with pytest.raises(ValueError, match="^cannot push a point into the hyperplane$"):
+            kappa(B(4, 0, 2, 2), 1, 2)
 
 
 class TestGenus:
@@ -440,8 +443,8 @@ class TestRingConsistency:
             assert any(not is_nondegenerate(base) for base in bases)
             for base in bases:
                 d = degree(base)
-                assert product_of_specials(n, base.dims) == {(0, 2): d}
-                assert product_of_specials(n, list(base.dims) + [n - 2]) == {(0, 1): d}
+                assert pieri_fold(n, base.dims) == {(0, 2): d}
+                assert pieri_fold(n, list(base.dims) + [n - 2]) == {(0, 1): d}
 
 
 RING_DEGREE_OFF_BY_ONE = """
@@ -530,6 +533,21 @@ class TestCrossChecks:
         monkeypatch.setattr(invariants, "_kappa", lambda n, dims, i, j: 2)
         with pytest.raises(InvariantError, match="m=0 join must share one"):
             degeneration_tree(B(6, 2, 3, 3, 4, 4))
+
+    def test_genus_is_checked_by_adjunction(self, monkeypatch):
+        # one generator too many on every join with m > 0 raises the witness
+        # genus of the seven solids from 8 to 12 while every degree holds
+        shared = invariants._kappa
+
+        def one_more(n, dims, i, j):
+            return shared(n, dims, i, j) + (invariants._pair(n, dims, i, j)[2] > 0)
+
+        monkeypatch.setattr(invariants, "_kappa", one_more)
+        base = B(5, 3, 3, 3, 3, 3, 3, 3)
+        assert degeneration_tree(base).genus == 12
+        with pytest.raises(InvariantError, match=r"^adjunction gives 2g - 2 = 14, not "
+                           r"the degeneration genus 12, for n=5 dims=3,3,3,3,3,3,3$"):
+            classify(base)
 
     def test_corrupted_join_survives_optimize(self):
         assert run_optimized(CORRUPTED_JOIN) == [

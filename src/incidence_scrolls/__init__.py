@@ -4,7 +4,6 @@ from .bases import (
     IncidenceBase,
     InvariantError,
     JoinResult,
-    canonicalize,
     conditions_count,
     enumerate_bases,
     format_base,
@@ -30,7 +29,7 @@ from .invariants import (
 __all__ = [
     "intersection_number", "product_of_specials", "render",
     "IncidenceBase", "InvariantError", "JoinResult",
-    "canonicalize", "conditions_count", "enumerate_bases", "format_base",
+    "conditions_count", "enumerate_bases", "format_base",
     "is_nondegenerate", "join", "parse_base", "restrict_to_span", "satisfies_is",
     "DegenerationNode", "ScrollReport",
     "classify", "degeneration_tree", "degree", "directrix_degree", "kappa",

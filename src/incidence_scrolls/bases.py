@@ -2,9 +2,9 @@
 
 A base is a multiset of linear-subspace dimensions inside a fixed projective
 ambient space.  The engine only ever needs the dimensions: all counts are
-generic, so no coordinates are kept.  It works on plain (ambient, sorted
-dims) pairs, as an IncidenceBase is one.  IncidenceBase checks the range of
-each dimension and restrict_to_span the 2n-3 condition of its input; join
+generic, so no coordinates are kept.  An IncidenceBase is always a canonical
+incidence-scroll base: its constructor checks the range of each dimension,
+sorts the dims, drops the hyperplanes and checks the 2n-3 condition.  join
 and restrict_to_span check every base they make.
 """
 
@@ -16,19 +16,23 @@ from collections.abc import Iterator
 
 
 class InvariantError(RuntimeError):
-    """A computed result breaks a cross-check the theory guarantees (never observed).
+    """A computed result breaks a cross-check the theory guarantees.
 
-    Every base that join or restrict_to_span produces must impose
-    exactly 2n-3 conditions; the ring degree must equal the degree of the
-    degeneration witness, kappa must be positive, and a join with m = 0 must
-    share exactly one generator.
+    Every base that a join or a restrict step produces, and every closed-form
+    base, must impose exactly 2n-3 conditions; the ring degree must equal the
+    degree of the degeneration witness, the witness genus must satisfy
+    adjunction, kappa must be positive, and a join with m = 0 must share
+    exactly one generator.
     """
 
 
 class IncidenceBase(namedtuple("IncidenceBase", "ambient dims")):
-    """Ambient projective dimension plus the sorted multiset of base dimensions.
+    """A canonical incidence-scroll base: the ambient projective dimension n
+    and the sorted dims of the base spaces, without hyperplanes (they impose
+    no condition), imposing exactly 2n-3 conditions on lines.
 
-    `_make` skips the checks; the engine wraps only its own results with it.
+    The constructor raises ValueError on any other input.  `_make` skips the
+    checks; the engine wraps only results it has checked with it.
     """
 
     __slots__ = ()
@@ -40,7 +44,12 @@ class IncidenceBase(namedtuple("IncidenceBase", "ambient dims")):
         for d in dims:
             if not 0 <= d < ambient:
                 raise ValueError(f"base space dimension {d} out of range for P^{ambient}")
-        return super().__new__(cls, ambient, dims)
+        base = super().__new__(cls, ambient, _canonical(ambient, dims))
+        if not satisfies_is(base):
+            raise ValueError(
+                f"{format_base(base)} is not an incidence-scroll base: "
+                f"conditions={conditions_count(base)}, required {2 * ambient - 3}")
+        return base
 
 
 def format_base(base: IncidenceBase) -> str:
@@ -71,13 +80,6 @@ def satisfies_is(base: IncidenceBase) -> bool:
     return conditions_count(base) == 2 * base[0] - 3
 
 
-def _require_is(base: IncidenceBase) -> None:
-    if not satisfies_is(base):
-        raise ValueError(
-            f"{format_base(base)} is not an incidence-scroll base: "
-            f"conditions={conditions_count(base)}, required {2 * base[0] - 3}")
-
-
 def _require_result_is(base: IncidenceBase, step: str) -> None:
     if not satisfies_is(base):
         raise InvariantError(
@@ -98,11 +100,6 @@ def is_nondegenerate(base: IncidenceBase) -> bool:
 def _canonical(ambient: int, dims: tuple[int, ...]) -> tuple[int, ...]:
     # sorted dims: the hyperplanes, which impose no condition, come last
     return dims[:bisect_left(dims, ambient - 1)]
-
-
-def canonicalize(base: IncidenceBase) -> IncidenceBase:
-    """Drop hyperplane base spaces (they impose no condition); keep dims sorted."""
-    return IncidenceBase._make((base.ambient, _canonical(base.ambient, base.dims)))
 
 
 JoinResult = namedtuple("JoinResult", "dot ddot m")
@@ -126,14 +123,6 @@ def _pair(n: int, dims: tuple[int, ...], i: int, j: int) -> tuple[int, int, int,
     return di, dj, m, others
 
 
-def _join(n: int, dims: tuple[int, ...], i: int, j: int) -> tuple[tuple, tuple, int]:
-    """Canonical dims of the two components, in P^n and P^(n-1), and m."""
-    di, dj, m, others = _pair(n, dims, i, j)
-    dot = _canonical(n, tuple(sorted((*others, m))))
-    ddot = _canonical(n - 1, tuple(sorted((*[d - 1 for d in others], di, dj))))
-    return dot, ddot, m
-
-
 def join(base: IncidenceBase, i: int, j: int) -> JoinResult:
     """Specialize base spaces i and j into a common hyperplane.
 
@@ -141,29 +130,14 @@ def join(base: IncidenceBase, i: int, j: int) -> JoinResult:
     intersection P^m) in the same ambient, and a component inside the
     hyperplane whose other spaces are cut down by one dimension.
     """
-    n = base.ambient
-    dot, ddot, m = _join(n, base.dims, i, j)
-    dot, ddot = IncidenceBase._make((n, dot)), IncidenceBase._make((n - 1, ddot))
+    n, dims = base
+    di, dj, m, others = _pair(n, dims, i, j)
+    dot = IncidenceBase._make((n, _canonical(n, tuple(sorted((*others, m))))))
+    ddot = IncidenceBase._make((n - 1, _canonical(
+        n - 1, tuple(sorted((*[d - 1 for d in others], di, dj))))))
     _require_result_is(dot, "join")
     _require_result_is(ddot, "join")
     return JoinResult(dot=dot, ddot=ddot, m=m)
-
-
-def _restrict(ambient: int, dims: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(span, canonical dims) of the base re-expressed inside its span.
-
-    No space empties: three spaces impose at most 2n - 3 conditions, so the
-    pair x <= y and any third space d have x + y + d >= n, and d shrinks to
-    d - n + x + y + 1 >= 1.
-    """
-    current = (ambient, _canonical(ambient, dims))
-    while not is_nondegenerate(current):
-        n, (x, y, *rest) = current
-        span = x + y + 1
-        shrunk = [d - (n - span) for d in rest]
-        current = (span, _canonical(span, tuple(sorted((x, y, *shrunk)))))
-        _require_result_is(current, "restrict_to_span")
-    return current
 
 
 def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
@@ -174,14 +148,23 @@ def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
     other base space is replaced by its generic trace on that span.  The
     pair taken is the two smallest spaces, whose span is the smallest.
     Idempotent once the result is nondegenerate.
+
+    No space empties: three spaces impose at most 2n - 3 conditions, so the
+    pair x <= y and any third space d have x + y + d >= n, and d shrinks to
+    d - n + x + y + 1 >= 1.
     """
-    _require_is(base)
-    return IncidenceBase._make(_restrict(base.ambient, base.dims))
+    while not is_nondegenerate(base):
+        n, (x, y, *rest) = base
+        span = x + y + 1
+        shrunk = [d - (n - span) for d in rest]
+        base = IncidenceBase._make((span, _canonical(span, tuple(sorted((x, y, *shrunk))))))
+        _require_result_is(base, "restrict_to_span")
+    return base
 
 
 def _dims_summing_to(n: int, remaining: int, min_dim: int) -> Iterator[tuple[int, ...]]:
     """Nondecreasing dimension tuples in [min_dim, n-2] imposing `remaining`
-    conditions in P^n."""
+    conditions in P^n, in lexicographic order."""
     if remaining == 0:
         yield ()
         return
@@ -194,7 +177,7 @@ def _dims_summing_to(n: int, remaining: int, min_dim: int) -> Iterator[tuple[int
 
 def enumerate_bases(n: int, *, nondegenerate_only: bool = False,
                     contains_dim: int | None = None) -> list[IncidenceBase]:
-    """All bases imposing exactly 2n-3 conditions in P^n, canonically sorted.
+    """All bases imposing exactly 2n-3 conditions in P^n, sorted by their dims.
 
     Dimension-0 spaces (which sweep a plane pencil) are only listed when
     nondegenerate_only is false.
@@ -208,4 +191,4 @@ def enumerate_bases(n: int, *, nondegenerate_only: bool = False,
         if contains_dim is not None and contains_dim not in dims:
             continue
         out.append(IncidenceBase._make((n, dims)))
-    return sorted(out)
+    return out

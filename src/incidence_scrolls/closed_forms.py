@@ -43,6 +43,7 @@ line family and is None for the others."""
 
 
 def _finish(record: ClosedFormRecord) -> ClosedFormRecord:
+    # the families build their bases with IncidenceBase._make: this is their check
     if not satisfies_is(record.base):
         raise InvariantError(
             f"{record.family} closed form built {format_base(record.base)}, "
@@ -61,7 +62,7 @@ def p1s(n: int) -> ClosedFormRecord:
     """
     if n < 3:
         raise ValueError(f"line family needs n >= 3, got {n}")
-    base = IncidenceBase(n, (1,) + (n - 2,) * (n - 1))
+    base = IncidenceBase._make((n, (1,) + (n - 2,) * (n - 1)))
     return _finish(ClosedFormRecord(
         family="p1s", n=n, base=base,
         degree=n - 1, genus=0, directrix_degree=1,
@@ -83,7 +84,8 @@ def p2s(n: int, i: int) -> ClosedFormRecord:
         raise ValueError(f"plane family needs n >= 4, got {n}")
     if not 0 <= 2 * i <= n:
         raise ValueError(f"need 0 <= i <= n/2, got i={i} for n={n}")
-    base = IncidenceBase(n, (2,) + (n - 3,) * i + (n - 2,) * (n - 2 * i))
+    base = IncidenceBase._make((n, tuple(sorted(
+        (2,) + (n - 3,) * i + (n - 2,) * (n - 2 * i)))))
     return _finish(ClosedFormRecord(
         family="p2s", n=n, base=base,
         degree=binom(n - i, 2) + i - 1,
@@ -107,8 +109,8 @@ def p3s(n: int, j: int, i: int) -> ClosedFormRecord:
     if not 0 <= 2 * i <= n + 1 - 3 * j:
         raise ValueError(f"need 0 <= i <= (n+1-3j)/2, got i={i} for n={n}, j={j}")
     q = n - i - 2 * j
-    base = IncidenceBase(
-        n, (3,) + (n - 4,) * j + (n - 3,) * i + (n - 2,) * (n + 1 - 3 * j - 2 * i))
+    base = IncidenceBase._make((n, tuple(sorted(
+        (3,) + (n - 4,) * j + (n - 3,) * i + (n - 2,) * (n + 1 - 3 * j - 2 * i)))))
     return _finish(ClosedFormRecord(
         family="p3s", n=n, base=base,
         degree=binom(q + 1, 3) - q + (i + j) * q + j - 1,

@@ -15,27 +15,13 @@ from collections import namedtuple
 from .bases import (
     IncidenceBase,
     InvariantError,
-    _join,
     _pair,
-    _require_is,
-    _require_result_is,
-    _restrict,
-    canonicalize,
     format_base,
     is_nondegenerate,
+    join,
+    restrict_to_span,
 )
 from .grassmann import intersection_number
-
-
-def _checked(base: IncidenceBase) -> IncidenceBase:
-    """The canonical form of a base the public API was given."""
-    base = canonicalize(base)
-    _require_is(base)
-    return base
-
-
-def _degree(n: int, dims: tuple[int, ...]) -> int:
-    return intersection_number(n, dims + (n - 2,))
 
 
 def degree(base: IncidenceBase) -> int:
@@ -46,15 +32,8 @@ def degree(base: IncidenceBase) -> int:
     same multiple of the point class.  Valid for degenerate configurations
     as well; the product does not care where the scroll actually spans.
     """
-    return _degree(*_checked(base))
-
-
-def _kappa(n: int, dims: tuple[int, ...], i: int, j: int) -> int:
-    _, _, m, others = _pair(n, dims, i, j)
-    value = intersection_number(n - 1, (m, *[d - 1 for d in others]))
-    if value < 1:
-        raise InvariantError(f"kappa must be positive, got {value}")
-    return value
+    n, dims = base
+    return intersection_number(n, dims + (n - 2,))
 
 
 def kappa(base: IncidenceBase, i: int, j: int) -> int:
@@ -64,8 +43,12 @@ def kappa(base: IncidenceBase, i: int, j: int) -> int:
     out by the pair, and meets the trace of every other base space; the
     count is the corresponding intersection number one ambient down.
     """
-    _require_is(base)
-    return _kappa(base.ambient, base.dims, i, j)
+    n, dims = base
+    _, _, m, others = _pair(n, dims, i, j)
+    value = intersection_number(n - 1, (m, *[d - 1 for d in others]))
+    if value < 1:
+        raise InvariantError(f"kappa must be positive, got {value}")
+    return value
 
 
 DegenerationNode = namedtuple(
@@ -75,48 +58,47 @@ DegenerationNode.__doc__ = """One step of the genus recursion, with exact degree
 bookkeeping; action is "leaf", "restrict" or "join", pair the joined dimensions."""
 
 
-def _tree(ambient: int, dims: tuple[int, ...]):
-    """Witness of a canonical base, as a generator run by `_witness`.
+def _tree(base: IncidenceBase):
+    """Witness of a base, as a generator run by `degeneration_tree`.
 
-    It yields the (ambient, dims) key of each base it reduces to, is sent
-    that base's node, and returns its own node.  A base that reaches the
-    join is nondegenerate and point-free in P^n, n >= 3, so it has two
-    spaces (one imposes at most n - 2 < 2n - 3 conditions), and its two
-    smallest span the ambient: they are joined, meeting in the smallest P^m.
+    It yields each base it reduces to, is sent that base's node, and
+    returns its own node.  A base that reaches the join is nondegenerate and
+    point-free in P^n, n >= 3, so it has two spaces (one imposes at most
+    n - 2 < 2n - 3 conditions), and its two smallest span the ambient: they
+    are joined, meeting in the smallest P^m.
     """
-    # the public entries check every root and _restrict every base it makes,
-    # so a base failing here came out of a join
-    _require_result_is((ambient, dims), "join")
-    base = IncidenceBase._make((ambient, dims))
-    if ambient <= 2 or 0 in dims:
+    if base.ambient <= 2 or 0 in base.dims:
         # a point in the base (or a planar ambient) sweeps a plane pencil
         return DegenerationNode(base, "leaf", 1, 0)
     if not is_nondegenerate(base):
-        child = yield _restrict(ambient, dims)
+        child = yield restrict_to_span(base)
         return DegenerationNode(base, "restrict", child.degree, child.genus,
                                 children=(child,))
-    dot_dims, ddot_dims, m = _join(ambient, dims, 0, 1)
-    shared = _kappa(ambient, dims, 0, 1)
-    if m == 0 and shared != 1:
+    parts = join(base, 0, 1)
+    shared = kappa(base, 0, 1)
+    if parts.m == 0 and shared != 1:
         raise InvariantError(f"m=0 join must share one generator, got {shared}")
-    dot = yield (ambient, dot_dims)
-    ddot = yield (ambient - 1, ddot_dims)
+    dot = yield parts.dot
+    ddot = yield parts.ddot
     return DegenerationNode(base, "join", dot.degree + ddot.degree,
                             dot.genus + ddot.genus + shared - 1,
-                            dims[:2], m, shared, (dot, ddot))
+                            base.dims[:2], parts.m, shared, (dot, ddot))
 
 
-_nodes: dict[tuple[int, tuple[int, ...]], DegenerationNode] = {}
+_nodes: dict[IncidenceBase, DegenerationNode] = {}
 
 
-def _witness(base: IncidenceBase) -> DegenerationNode:
-    """Run `_tree` on a stack of (key, generator) frames, memoized in `_nodes`.
+def degeneration_tree(base: IncidenceBase) -> DegenerationNode:
+    """Witness of the genus recursion, a DAG of shared sub-bases.
 
-    A raising frame leaves only completed nodes in `_nodes`.
+    Every subtree is shared with every other witness that reaches the same
+    base.  `_tree` runs on a stack of (base, generator) frames, memoized in
+    `_nodes`, so the depth of the witness is not bounded by the interpreter's
+    frame limit; a raising frame leaves only completed nodes in `_nodes`.
     """
     if base in _nodes:
         return _nodes[base]
-    stack = [(base, _tree(*base))]
+    stack = [(base, _tree(base))]
     node = None
     while stack:
         key, frame = stack[-1]
@@ -128,17 +110,8 @@ def _witness(base: IncidenceBase) -> DegenerationNode:
             continue
         node = _nodes.get(sub)
         if node is None:
-            stack.append((sub, _tree(*sub)))
+            stack.append((sub, _tree(sub)))
     return node
-
-
-def degeneration_tree(base: IncidenceBase) -> DegenerationNode:
-    """Witness of the genus recursion, a DAG of shared sub-bases.
-
-    Every subtree is shared with every other witness that reaches the same
-    canonical base.
-    """
-    return _witness(_checked(base))
 
 
 def node_table(root: DegenerationNode) -> dict:
@@ -176,23 +149,19 @@ def node_table(root: DegenerationNode) -> dict:
     return {"root": ids[root.base], "nodes": nodes}
 
 
-def _directrix_degree(n: int, dims: tuple[int, ...], which: int) -> int:
-    a = dims[which]
-    if a == 0:
-        raise ValueError("a point carries no directrix curve")
-    return intersection_number(n, dims[:which] + (a - 1,) + dims[which + 1:])
-
-
 def directrix_degree(base: IncidenceBase, which: int) -> int:
     """Degree of the curve the scroll cuts on base space number `which`.
 
     Lower the chosen space's special cycle by one and intersect: the count
     of generators meeting a generic hyperplane trace of that space.
     """
-    _require_is(base)
-    if not 0 <= which < len(base.dims):
+    n, dims = base
+    if not 0 <= which < len(dims):
         raise ValueError(f"space {which} is not a space of {format_base(base)}")
-    return _directrix_degree(base.ambient, base.dims, which)
+    a = dims[which]
+    if a == 0:
+        raise ValueError("a point carries no directrix curve")
+    return intersection_number(n, dims[:which] + (a - 1,) + dims[which + 1:])
 
 
 def speciality(n: int, d: int, g: int) -> int:
@@ -233,18 +202,18 @@ class ScrollReport(namedtuple(
 
 def classify(base: IncidenceBase) -> ScrollReport:
     """Compute degree, genus, speciality and directrix table of a base."""
-    base = _checked(base)
-    node = _witness(base)
-    d = _degree(*base)
+    node = degeneration_tree(base)
+    d = degree(base)
     if d != node.degree:
         raise InvariantError(
             f"ring degree {d} disagrees with degeneration bookkeeping {node.degree} "
             f"for {format_base(base)}")
     g = node.genus
 
-    span, effective = _restrict(*base)
+    restricted = restrict_to_span(base)
+    span, effective = restricted
     directrix = tuple(
-        (a, _directrix_degree(span, effective, effective.index(a)), g)
+        (a, directrix_degree(restricted, effective.index(a)), g)
         for a in sorted(set(effective))
         if a >= 1
     )

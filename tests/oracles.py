@@ -1,6 +1,6 @@
 """Helpers shared by the test modules that the package itself does not need."""
 
-from incidence_scrolls.bases import IncidenceBase, canonicalize, satisfies_is
+from incidence_scrolls.bases import IncidenceBase
 from incidence_scrolls.grassmann import intersection_number
 
 
@@ -36,9 +36,7 @@ def separate(base, i, j):
     if di + dj != n:
         raise ValueError(f"separate needs d_i + d_j = ambient, got {di}+{dj} != {n}")
     others = tuple(d for k, d in enumerate(base.dims) if k not in (i, j))
-    lifted = canonicalize(IncidenceBase(n + 1, tuple(d + 1 for d in others) + (di, dj)))
-    assert satisfies_is(lifted), lifted
-    return lifted
+    return IncidenceBase(n + 1, tuple(d + 1 for d in others) + (di, dj))
 
 
 def adjunction_genus(base):
@@ -49,7 +47,7 @@ def adjunction_genus(base):
     r canonical spaces of (c_j - 1) e_j, with c_j = n - 1 - h_j and e_j the
     intersection number with h_j lowered by one (0 for a point).
     """
-    n, dims = canonicalize(base)
+    n, dims = base
     total = (len(dims) - n - 1) * intersection_number(n, dims + (n - 2,))
     for j, h in enumerate(dims):
         if h:

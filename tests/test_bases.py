@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from incidence_scrolls.bases import (
     IncidenceBase,
-    canonicalize,
     conditions_count,
     enumerate_bases,
     format_base,
@@ -52,7 +51,7 @@ def restriction_pair_oracle(base):
 
 def restrict_oracle(base):
     """restrict_to_span by all-pairs scans."""
-    current = canonicalize(base)
+    current = base
     while (pair := restriction_pair_oracle(current)) is not None:
         x, y = pair
         rest = list(current.dims)
@@ -60,7 +59,7 @@ def restrict_oracle(base):
         rest.remove(y)
         span = x + y + 1
         shrunk = [d - (current.ambient - span) for d in rest]
-        current = canonicalize(IncidenceBase(span, (x, y, *shrunk)))
+        current = IncidenceBase(span, (x, y, *shrunk))
     return current
 
 
@@ -106,7 +105,7 @@ class TestConditionsCount:
         assert conditions_count(B(5, 2, 3, 3, 3, 3, 3)) == 7
 
     def test_empty(self):
-        assert conditions_count(IncidenceBase(7, ())) == 0
+        assert conditions_count((7, ())) == 0
 
 
 class TestSatisfiesIs:
@@ -114,7 +113,7 @@ class TestSatisfiesIs:
         assert satisfies_is(B(5, 3, 3, 3, 3, 3, 3, 3))
 
     def test_too_few_conditions(self):
-        assert not satisfies_is(B(5, 2, 3))
+        assert not satisfies_is((5, (2, 3)))
 
     def test_line_and_planes(self):
         assert satisfies_is(B(4, 1, 2, 2, 2))
@@ -164,6 +163,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(3, 8))
     def test_complete_against_brute_force(self, n):
         assert set(enumerate_bases(n)) == brute_force_bases(n)
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_listed_in_sorted_order(self, n):
+        # the generator yields dims in lexicographic order: no sort is needed
+        bases = enumerate_bases(n)
+        assert bases == sorted(bases)
 
     def test_contains_dim_filter(self):
         bases = enumerate_bases(5, nondegenerate_only=True, contains_dim=2)
@@ -262,12 +267,13 @@ class TestRestrictToSpan:
             for base in enumerate_bases(n, nondegenerate_only=True):
                 assert restrict_to_span(base) == base
 
-    @pytest.mark.parametrize("base", [B(5, 1, 1), B(5, 3, 3), B(9, 1, 2, 3)])
+    @pytest.mark.parametrize("base", [(5, (1, 1)), (5, (3, 3)), (9, (1, 2, 3))])
     def test_rejects_non_scroll_input(self, base):
+        # the constructor rejects what restrict_to_span cannot take, with
         # ValueError (exit 2), never the engine-fault class InvariantError
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"{format_base(base)} is not an incidence-scroll base")):
-            restrict_to_span(base)
+            IncidenceBase(*base)
 
     def test_preserves_is(self):
         # no space of an incidence-scroll base empties on the way to its span
@@ -280,10 +286,22 @@ class TestRestrictToSpan:
 
 class TestCanonicalize:
     def test_drops_hyperplanes(self):
-        assert canonicalize(B(5, 2, 3, 4)) == B(5, 2, 3)
+        assert B(5, 2, 3, 3, 3, 3, 3, 4) == B(5, 2, 3, 3, 3, 3, 3)
+        assert IncidenceBase(5, (4,) + (3,) * 7) == IncidenceBase(5, (3,) * 7)
 
     def test_sorts(self):
-        assert IncidenceBase(6, (4, 2, 3)).dims == (2, 3, 4)
+        assert IncidenceBase(6, (4, 2, 3, 4, 3)).dims == (2, 3, 3, 4, 4)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (4, 3, 2, 4)])
+    def test_rejects_non_scroll_input(self, dims):
+        # the message names the base without its hyperplanes
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "n=5 dims=2,3 is not an incidence-scroll base: conditions=3, "
+                "required 7") + "$"):
+            IncidenceBase(5, dims)
+
+    def test_make_skips_the_checks(self):
+        assert IncidenceBase._make((5, (3, 2, 4))) == (5, (3, 2, 4))
 
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
@@ -293,7 +311,7 @@ class TestCanonicalize:
         with pytest.raises(ValueError, match="^ambient projective dimension must be "
                                              ">= 2, got 1$"):
             IncidenceBase(1, ())
-        assert IncidenceBase(2, ()) == (2, ())
+        assert IncidenceBase(2, (0,)) == (2, (0,))
 
 
 class TestTextFormat:

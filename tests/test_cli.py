@@ -291,9 +291,8 @@ class TestProduct:
 
 class TestExitCodes:
     def test_invariant_error(self, capsys, monkeypatch):
-        ring_degree = invariants._degree
-        monkeypatch.setattr(invariants, "_degree",
-                            lambda n, dims: ring_degree(n, dims) + 1)
+        ring_degree = invariants.degree
+        monkeypatch.setattr(invariants, "degree", lambda base: ring_degree(base) + 1)
         code, out, err = run(capsys, "analyze", "-n", "3", "--base", "1,1,1")
         assert code == 4
         assert out == ""
@@ -301,9 +300,9 @@ class TestExitCodes:
 
     def test_wrong_genus_exits_4(self, capsys, monkeypatch):
         # kappa + 1 on the joins with m > 0: every degree holds, the genus does not
-        shared = invariants._kappa
-        monkeypatch.setattr(invariants, "_kappa", lambda n, dims, i, j: shared(
-            n, dims, i, j) + (invariants._pair(n, dims, i, j)[2] > 0))
+        shared = invariants.kappa
+        monkeypatch.setattr(invariants, "kappa", lambda base, i, j: shared(
+            base, i, j) + (invariants._pair(*base, i, j)[2] > 0))
         assert run(capsys, "analyze", "-n", "5", "--base", "3,3,3,3,3,3,3") == (
             4, "", "error: adjunction gives 2g - 2 = 14, not the degeneration "
             "genus 12, for n=5 dims=3,3,3,3,3,3,3\n")

@@ -358,7 +358,7 @@ class TestKernelMemo:
             classify(base)
         info = grassmann._point_coefficient.cache_info()
         assert info.hits > 0
-        assert set(asked) == {"_degree", "_directrix_degree", "_kappa"}
+        assert set(asked) == {"degree", "directrix_degree", "kappa"}
         keys = set().union(*asked.values())
         assert info.misses == info.currsize == len(keys)
         # some multisets are asked for by two different callers

@@ -12,7 +12,6 @@ import incidence_scrolls
 from incidence_scrolls import invariants
 from incidence_scrolls.bases import (
     IncidenceBase,
-    canonicalize,
     enumerate_bases,
     format_base,
     is_nondegenerate,
@@ -75,7 +74,7 @@ def check_witness(base, table):
             assert d == dot["degree"] + ddot["degree"]
             assert g == dot["genus"] + ddot["genus"] + row["kappa"] - 1
     root = nodes[table["root"]]
-    assert root["base"] == format_base(canonicalize(base))
+    assert root["base"] == format_base(base)
     assert root["degree"] == degree(base)
 
 
@@ -311,7 +310,7 @@ class TestDegenerationTree:
             assert node_table(root) == node_table_oracle(root)
 
     def test_failed_build_keeps_only_completed_nodes(self, monkeypatch):
-        kernel_kappa = invariants._kappa
+        kernel_kappa = invariants.kappa
         calls = []
 
         def failing_kappa(*args):
@@ -321,7 +320,7 @@ class TestDegenerationTree:
             return kernel_kappa(*args)
 
         base = B(5, 2, 3, 3, 3, 3, 3)
-        monkeypatch.setattr(invariants, "_kappa", failing_kappa)
+        monkeypatch.setattr(invariants, "kappa", failing_kappa)
         with pytest.raises(InvariantError, match="fifth kappa fails"):
             classify(base)
         monkeypatch.undo()
@@ -352,6 +351,28 @@ class TestDirectrixDegree:
         with pytest.raises(ValueError, match=rf"space {which} is not a space of "
                                              r"n=6 dims=2,3,3,4,4"):
             directrix_degree(B(6, 2, 3, 3, 4, 4), which)
+
+
+class TestEngineSeams:
+    def test_classify_runs_on_the_public_functions(self, monkeypatch):
+        # per-layer tracing wraps these functions under every name the
+        # package binds them to; classify must reach each of them there
+        calls = dict.fromkeys(["degree", "kappa", "directrix_degree",
+                               "degeneration_tree", "join", "restrict_to_span"], 0)
+        modules = (invariants, incidence_scrolls.bases)
+        for name in calls:
+            original = getattr(invariants, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        for base in enumerate_bases(8):
+            classify(base)
+        assert all(calls.values()), calls
 
 
 class TestSpeciality:
@@ -452,8 +473,8 @@ from incidence_scrolls import invariants
 from incidence_scrolls.bases import IncidenceBase
 
 print("debug", __debug__)
-ring_degree = invariants._degree
-invariants._degree = lambda n, dims: ring_degree(n, dims) + 1
+ring_degree = invariants.degree
+invariants.degree = lambda base: ring_degree(base) + 1
 try:
     invariants.classify(IncidenceBase(4, (1, 2, 2, 2)))
 except invariants.InvariantError as exc:
@@ -466,11 +487,13 @@ from incidence_scrolls import bases, closed_forms
 from incidence_scrolls.bases import IncidenceBase, InvariantError
 
 print("debug", __debug__)
+# the inputs are built first: the constructor checks the 2n-3 condition too
+seven_solids = IncidenceBase(5, (3,) * 7)
+degenerate = IncidenceBase(6, (2, 2, 3, 4))
 bases.satisfies_is = closed_forms.satisfies_is = lambda base: False
 steps = [
-    lambda: bases.join(IncidenceBase(5, (3,) * 7), 0, 1),
-    # restrict_to_span would reject the input before its first step
-    lambda: bases._restrict(6, (2, 2, 3, 4)),
+    lambda: bases.join(seven_solids, 0, 1),
+    lambda: bases.restrict_to_span(degenerate),
     lambda: closed_forms.p1s(4),
 ]
 for step in steps:
@@ -482,19 +505,21 @@ for step in steps:
 
 
 CORRUPTED_JOIN = """
-from incidence_scrolls import invariants
+from incidence_scrolls import bases, invariants
 from incidence_scrolls.bases import IncidenceBase
 
 print("debug", __debug__)
-tuple_join = invariants._join
+pair = bases._pair
 
 
 def drop_a_space(n, dims, i, j):
-    dot, ddot, m = tuple_join(n, dims, i, j)
-    return dot[1:], ddot, m
+    # a P^m as large as a hyperplane imposes no condition: the first
+    # component of the join loses a space
+    di, dj, m, others = pair(n, dims, i, j)
+    return di, dj, n - 1, others
 
 
-invariants._join = drop_a_space
+bases._pair = drop_a_space
 try:
     invariants.classify(IncidenceBase(4, (2, 2, 2, 2, 2)))
 except invariants.InvariantError as exc:
@@ -530,19 +555,19 @@ class TestCrossChecks:
                 step()
 
     def test_m_zero_join_shares_one_generator(self, monkeypatch):
-        monkeypatch.setattr(invariants, "_kappa", lambda n, dims, i, j: 2)
+        monkeypatch.setattr(invariants, "kappa", lambda base, i, j: 2)
         with pytest.raises(InvariantError, match="m=0 join must share one"):
             degeneration_tree(B(6, 2, 3, 3, 4, 4))
 
     def test_genus_is_checked_by_adjunction(self, monkeypatch):
         # one generator too many on every join with m > 0 raises the witness
         # genus of the seven solids from 8 to 12 while every degree holds
-        shared = invariants._kappa
+        shared = invariants.kappa
 
-        def one_more(n, dims, i, j):
-            return shared(n, dims, i, j) + (invariants._pair(n, dims, i, j)[2] > 0)
+        def one_more(base, i, j):
+            return shared(base, i, j) + (invariants._pair(*base, i, j)[2] > 0)
 
-        monkeypatch.setattr(invariants, "_kappa", one_more)
+        monkeypatch.setattr(invariants, "kappa", one_more)
         base = B(5, 3, 3, 3, 3, 3, 3, 3)
         assert degeneration_tree(base).genus == 12
         with pytest.raises(InvariantError, match=r"^adjunction gives 2g - 2 = 14, not "

@@ -132,12 +132,13 @@ def join(base: IncidenceBase, i: int, j: int) -> JoinResult:
     """
     n, dims = base
     di, dj, m, others = _pair(n, dims, i, j)
-    dot = IncidenceBase._make((n, _canonical(n, tuple(sorted((*others, m))))))
+    k = bisect_left(others, m)  # others are sorted; keep them so
+    dot = IncidenceBase._make((n, _canonical(n, others[:k] + (m,) + others[k:])))
     ddot = IncidenceBase._make((n - 1, _canonical(
-        n - 1, tuple(sorted((*[d - 1 for d in others], di, dj))))))
+        n - 1, tuple(sorted([d - 1 for d in others] + [di, dj])))))
     _require_result_is(dot, "join")
     _require_result_is(ddot, "join")
-    return JoinResult(dot=dot, ddot=ddot, m=m)
+    return JoinResult(dot, ddot, m)
 
 
 def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
@@ -154,10 +155,10 @@ def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
     d - n + x + y + 1 >= 1.
     """
     while not is_nondegenerate(base):
-        n, (x, y, *rest) = base
-        span = x + y + 1
-        shrunk = [d - (n - span) for d in rest]
-        base = IncidenceBase._make((span, _canonical(span, tuple(sorted((x, y, *shrunk))))))
+        n, dims = base
+        span = dims[0] + dims[1] + 1
+        shrunk = [d - n + span for d in dims[2:]] + [dims[0], dims[1]]
+        base = IncidenceBase._make((span, _canonical(span, tuple(sorted(shrunk)))))
         _require_result_is(base, "restrict_to_span")
     return base
 
@@ -172,7 +173,7 @@ def _dims_summing_to(n: int, remaining: int, min_dim: int) -> Iterator[tuple[int
         cost = n - 1 - d
         if cost <= remaining:
             for rest in _dims_summing_to(n, remaining - cost, d):
-                yield (d, *rest)
+                yield (d,) + rest
 
 
 def enumerate_bases(n: int, *, nondegenerate_only: bool = False,

@@ -23,6 +23,7 @@ import io
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .bases import IncidenceBase, enumerate_bases, format_base
 from .grassmann import product_of_specials, render
@@ -35,9 +36,24 @@ from .invariants import (
 )
 
 
+def _json_value(value: str | int | bool) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return ("false", "true")[value] if isinstance(value, bool) else int.__repr__(value)
+
+
+def _json_rows(rows: list[dict]) -> str:
+    """json.dumps(rows, indent=2) for flat rows of str, int and bool values,
+    each string quoted by the C encoder that json.dumps itself calls."""
+    blocks = ["  {\n" + ",\n".join(f"    {encode_basestring_ascii(key)}: {_json_value(value)}"
+                                  for key, value in row.items()) + "\n  }" if row else "  {}"
+              for row in rows]
+    return "[\n" + ",\n".join(blocks) + "\n]" if blocks else "[]"
+
+
 def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(rows, indent=2)
+        return _json_rows(rows)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")

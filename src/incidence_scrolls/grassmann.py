@@ -28,11 +28,12 @@ def _coefficients(n: int, hs: tuple[int, ...]) -> Callable[[int], int]:
 
     P is one int, at t = 2^b > P(1) = prod(c_i + 1): no b-bit slot carries.
     """
-    b = math.prod(n - h for h in hs).bit_length()
+    runs = [(n - h, hs.count(h)) for h in set(hs)]  # (c_i + 1, multiplicity)
+    b = math.prod([width ** count for width, count in runs]).bit_length()
     mask = (1 << b) - 1
     p = 1
-    for h in set(hs):
-        p *= (((1 << b * (n - h)) - 1) // mask) ** hs.count(h)
+    for width, count in runs:
+        p *= (((1 << b * width) - 1) // mask) ** count
     return lambda k: p >> b * k & mask
 
 
@@ -63,12 +64,14 @@ def intersection_number(n: int, hs: Iterable[int]) -> int:
 
 @functools.cache
 def _point_coefficient(n: int, hs: tuple[int, ...]) -> int:
+    # intersection_number of a sorted hs, which the engine calls directly;
     # an exception is never cached, so invalid input raises on every call
     total = (n - 1) * len(hs) - sum(hs)
     if total != 2 * (n - 1):
         raise ValueError(
             f"total codimension {total} != dim G(1,{n}) = {2 * (n - 1)}")
-    _check_parameters(n, hs)
+    if n < 2 or hs[0] < 0 or hs[-1] > n - 2:  # n >= 2: hs is nonempty
+        _check_parameters(n, hs)
     slot = _coefficients(n, hs)
     return slot(n - 1) - slot(n - 2)
 

@@ -10,8 +10,10 @@ whose repeated sub-bases are shared, and checks the genus by adjunction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
+from . import grassmann
 from .bases import (
     IncidenceBase,
     InvariantError,
@@ -21,7 +23,12 @@ from .bases import (
     join,
     restrict_to_span,
 )
-from .grassmann import intersection_number
+
+
+def _kernel(n: int, hs: tuple[int, ...]) -> int:
+    # intersection_number without its sort, on a key built sorted from a
+    # canonical base; looked up per call, so the checks see a patched kernel
+    return grassmann._point_coefficient(n, hs)
 
 
 def degree(base: IncidenceBase) -> int:
@@ -33,7 +40,7 @@ def degree(base: IncidenceBase) -> int:
     as well; the product does not care where the scroll actually spans.
     """
     n, dims = base
-    return intersection_number(n, dims + (n - 2,))
+    return _kernel(n, dims + (n - 2,))
 
 
 def kappa(base: IncidenceBase, i: int, j: int) -> int:
@@ -45,7 +52,9 @@ def kappa(base: IncidenceBase, i: int, j: int) -> int:
     """
     n, dims = base
     _, _, m, others = _pair(n, dims, i, j)
-    value = intersection_number(n - 1, (m, *[d - 1 for d in others]))
+    traces = tuple([d - 1 for d in others])
+    k = bisect_left(traces, m)  # 0 for the two smallest spaces: m <= d - 1
+    value = _kernel(n - 1, traces[:k] + (m,) + traces[k:])
     if value < 1:
         raise InvariantError(f"kappa must be positive, got {value}")
     return value
@@ -161,7 +170,8 @@ def directrix_degree(base: IncidenceBase, which: int) -> int:
     a = dims[which]
     if a == 0:
         raise ValueError("a point carries no directrix curve")
-    return intersection_number(n, dims[:which] + (a - 1,) + dims[which + 1:])
+    first = bisect_left(dims, a)  # every space of dimension a gives this key
+    return _kernel(n, dims[:first] + (a - 1,) + dims[first + 1:])
 
 
 def speciality(n: int, d: int, g: int) -> int:
@@ -212,17 +222,21 @@ def classify(base: IncidenceBase) -> ScrollReport:
 
     restricted = restrict_to_span(base)
     span, effective = restricted
-    directrix = tuple(
-        (a, directrix_degree(restricted, effective.index(a)), g)
-        for a in sorted(set(effective))
-        if a >= 1
-    )
     # adjunction on the curve of lines of r spaces in P^s, e_a the directrix
-    # degree: 2g - 2 = (r - s - 1) d + sum over the spaces of (s - 2 - a) e_a
-    twice = (len(effective) - span - 1) * d + sum(
-        effective.count(a) * (span - 2 - a) * e for a, e, _ in directrix)
+    # degree: 2g - 2 = (r - s - 1) d + sum over the spaces of (s - 2 - a) e_a,
+    # summed over the runs of equal dims, one directrix degree per run
+    twice = (len(effective) - span - 1) * d
+    directrix, start = [], 0
+    while start < len(effective):
+        a = effective[start]
+        end = bisect_right(effective, a, start)
+        if a:
+            e = directrix_degree(restricted, start)
+            directrix.append((a, e, g))
+            twice += (end - start) * (span - 2 - a) * e
+        start = end
     if twice != 2 * g - 2:
         raise InvariantError(f"adjunction gives 2g - 2 = {twice}, not the degeneration "
                              f"genus {g}, for {format_base(base)}")
     h1 = speciality(span, d, g)
-    return ScrollReport(base, span, d, g, h1, h1 > 0, directrix)
+    return ScrollReport(base, span, d, g, h1, h1 > 0, tuple(directrix))

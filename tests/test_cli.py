@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -6,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import incidence_scrolls
 from incidence_scrolls import invariants
-from incidence_scrolls.cli import main
+from incidence_scrolls.cli import _render_rows, main
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -118,6 +121,47 @@ class TestEnumerate:
         first = run(capsys, "enumerate", "-n", "6", "--nondegenerate")
         second = run(capsys, "enumerate", "-n", "6", "--nondegenerate")
         assert first == second
+
+
+# strings with what json escapes (quotes, backslashes, control and non-ASCII
+# characters, a lone surrogate), ints past 64 bits and bools (an int subclass)
+json_strings = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800é€\U0001f600'),
+    st.characters()))
+json_scalars = st.one_of(
+    json_strings, st.booleans(), st.integers(),
+    st.integers(-2 ** 70, 2 ** 70), st.sampled_from([2 ** 64, -2 ** 64 - 1]))
+
+
+class TestJsonRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.dictionaries(json_strings, json_scalars, max_size=8), max_size=6))
+    @example([])
+    def test_equals_json_dumps(self, rows):
+        columns = list(rows[0]) if rows else ["base"]
+        assert _render_rows(rows, columns, "json") == json.dumps(rows, indent=2)
+
+
+class TestGoldenStdout:
+    # sha256 and size of stdout, pinned from the json.dumps writer and the
+    # engine before its keys were built sorted; -O strips every assert
+    @pytest.mark.parametrize("argv, digest, size", [
+        (["enumerate", "-n", "13", "--format", "json"],
+         "2db936f3cb5aed0bfea8dc6bdea63e7936a64fcb8097f87ca352997831320bb5", 233895),
+        (["table", "--id", "1", "--format", "json"],
+         "9a344cee12967707932002785a572c21eaf01f2def8b6d2df7ea65efa1b3a5df", 1396),
+        (["table", "--id", "2", "--format", "json"],
+         "3112c2cd1813114ee2aaad9a953dfd849f0c976e37712c1fe09342d42c9de769", 2985),
+        (["table", "--id", "3", "--format", "json"],
+         "af622ba905e4c548e362f7b453b82b3318a82c18e480c6936d6e509fc9e22b00", 2980),
+    ], ids=["enumerate-13", "table-1", "table-2", "table-3"])
+    def test_under_optimize(self, argv, digest, size):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "incidence_scrolls.cli", *argv],
+            env=checkout_env(), capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(proc.stdout) == size
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 class TestAnalyze:

@@ -84,7 +84,7 @@ def kernel_keys(monkeypatch, bases):
         keys.add((ambient, hs))
         return intersection_number(ambient, hs)
 
-    monkeypatch.setattr(invariants, "intersection_number", recording)
+    monkeypatch.setattr(invariants, "_kernel", recording)
     for base in bases:
         classify(base)
     return keys
@@ -302,6 +302,22 @@ class TestKernelMemo:
                 intersection_number(1, [])  # passes the codimension check
         assert grassmann._point_coefficient.cache_info().currsize == 2
 
+    @pytest.mark.parametrize("n, hs, message", [
+        (4, [-1, 2, 2], "special parameter -1 out of range [0, 2]"),
+        (4, [2, 2, 2, 3, 2, 2, 2], "special parameter 3 out of range [0, 2]"),
+        # several bad h: the smallest is named
+        (4, [3, 3, -1, 2, 2], "special parameter -1 out of range [0, 2]"),
+        (1, [], "need n >= 2 for G(1, n), got n=1"),
+        (4, [2] * 5, "total codimension 5 != dim G(1,4) = 6"),
+    ])
+    def test_error_messages(self, n, hs, message):
+        # the range check reads only the ends of the sorted key, and on a
+        # failure runs the full check for its message
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                intersection_number(n, hs)
+            assert str(exc.value) == message
+
     def test_memo_traffic_of_the_sweep(self):
         # the enumerate -n 13 sweep: 6115 kernel calls on 2325 distinct keys
         for base in enumerate_bases(13):
@@ -353,7 +369,7 @@ class TestKernelMemo:
             asked[sys._getframe(1).f_code.co_name].add((n, tuple(sorted(hs))))
             return intersection_number(n, hs)
 
-        monkeypatch.setattr(invariants, "intersection_number", recording)
+        monkeypatch.setattr(invariants, "_kernel", recording)
         for base in enumerate_bases(8):
             classify(base)
         info = grassmann._point_coefficient.cache_info()

@@ -20,6 +20,7 @@ from incidence_scrolls.bases import (
     restrict_to_span,
     satisfies_is,
 )
+from incidence_scrolls.grassmann import intersection_number
 from incidence_scrolls.invariants import (
     InvariantError,
     classify,
@@ -375,6 +376,81 @@ class TestEngineSeams:
         assert all(calls.values()), calls
 
 
+def sent_keys(steps):
+    """Every (n, hs) that running `steps` sends to the engine's kernel seam."""
+    sent = []
+    kernel = invariants._kernel
+
+    def recording(n, hs):
+        sent.append((n, hs))
+        return kernel(n, hs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "_kernel", recording)
+        steps()
+    return sent
+
+
+def assert_sorted(keys):
+    assert keys
+    for n, hs in keys:
+        assert type(hs) is tuple and hs == tuple(sorted(hs)), (n, hs)
+
+
+def line_family(n):
+    return IncidenceBase(n, (1,) + (n - 2,) * (n - 1))
+
+
+def assert_one_directrix_per_dimension(base):
+    """directrix_degree agrees on every space of one dimension, and with the
+    sorting kernel on the key lowered at that very space; it sends the
+    kernel sorted keys for every space, not only the first of a dimension."""
+    n, dims = base
+    spaces = [which for which, a in enumerate(dims) if a]
+    values = {}
+    assert_sorted(sent_keys(lambda: values.update(
+        (which, directrix_degree(base, which)) for which in spaces)))
+    for which in spaces:
+        a = dims[which]
+        lowered = dims[:which] + (a - 1,) + dims[which + 1:]
+        assert values[which] == values[dims.index(a)] == intersection_number(n, lowered)
+
+
+class TestSortedKernelKeys:
+    """The kernel memo skips the sort: every engine key is sorted as built."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_sweep(self, n):
+        assert_sorted(sent_keys(lambda: [classify(base) for base in enumerate_bases(n)]))
+
+    def test_line_family(self):
+        assert_sorted(sent_keys(lambda: classify(line_family(60))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases())
+    def test_random_bases(self, base):
+        assert_sorted(sent_keys(lambda: classify(base)))
+        assert_one_directrix_per_dimension(base)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases())
+    def test_kappa_of_every_pair(self, base):
+        # kappa inserts P^m among the other traces wherever it falls
+        pairs = [(i, j) for i, j in itertools.combinations(range(len(base.dims)), 2)
+                 if base.dims[i] + base.dims[j] >= base.ambient - 1
+                 and 0 not in base.dims[:i] + base.dims[i + 1:j] + base.dims[j + 1:]]
+        assume(pairs)
+        assert_sorted(sent_keys(lambda: [kappa(base, i, j) for i, j in pairs]))
+
+    @pytest.mark.parametrize("bases", [
+        [base for n in range(3, 13) for base in enumerate_bases(n)],
+        [line_family(60)],
+    ])
+    def test_directrix_degree_is_one_per_dimension(self, bases):
+        for base in bases:
+            assert_one_directrix_per_dimension(base)
+
+
 class TestSpeciality:
     def test_nonspecial(self):
         assert speciality(4, 3, 0) == 0
@@ -547,7 +623,7 @@ class TestCrossChecks:
         ]
 
     def test_kappa_must_be_positive(self, monkeypatch):
-        monkeypatch.setattr(invariants, "intersection_number", lambda n, hs: 0)
+        monkeypatch.setattr(invariants, "_kernel", lambda n, hs: 0)
         base = B(5, 3, 3, 3, 3, 3, 3, 3)
         for step in (lambda: kappa(base, 0, 1), lambda: degeneration_tree(base),
                      lambda: classify(base)):

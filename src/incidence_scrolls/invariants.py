@@ -175,10 +175,14 @@ def directrix_degree(base: IncidenceBase, which: int) -> int:
 
 
 def speciality(n: int, d: int, g: int) -> int:
-    """Speciality index h1 = n - d + 2g - 1 of a linearly normal scroll in P^n."""
+    """Speciality index h1 = n - d + 2g - 1 of a linearly normal scroll in P^n.
+
+    A negative index raises InvariantError: from a checked base only a fault
+    in the engine's degree or genus can produce one.
+    """
     h1 = n - d + 2 * g - 1
     if h1 < 0:
-        raise ValueError(
+        raise InvariantError(
             f"negative speciality h1={h1} for (n={n}, d={d}, g={g}); "
             f"scroll cannot be linearly normal")
     return h1

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import itertools
 import json
 import os
 import re
@@ -11,17 +13,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incidence_scrolls
-from incidence_scrolls import invariants
+from incidence_scrolls import cli, invariants
 from incidence_scrolls.cli import _render_rows, main
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+# command line -> sha256 of stdout, stderr text and exit code, pinned from
+# `run` below with COLUMNS=80, which sets the width of argparse's messages;
+# a change that alters output edits only the entries it alters
+GOLDEN = json.loads((ROOT / "tests" / "golden.json").read_text())
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of `main`; the code of argparse's SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def command_id(command):
+    """The command line with each run of k equal values written v^k."""
+    def runs(word):
+        counted = [(value, len(list(group)))
+                   for value, group in itertools.groupby(word.split(","))]
+        return ",".join(value if k == 1 else f"{value}^{k}" for value, k in counted)
+    return " ".join(map(runs, command.split()))
 
 
 def checkout_env():
@@ -29,6 +49,14 @@ def checkout_env():
     src = str(Path(incidence_scrolls.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def buffered_env():
+    """checkout_env with stdout block-buffered, as in a plain shell, and
+    argparse's messages as wide as in the golden corpus."""
+    env = dict(checkout_env(), COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def cli_process(*argv, **kwargs):
@@ -162,6 +190,47 @@ class TestGoldenStdout:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert len(proc.stdout) == size
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+class TestGoldenCorpus:
+    @pytest.mark.parametrize("command", GOLDEN, ids=command_id)
+    def test_in_process(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *command.split())
+        assert {"stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+                "stderr": err, "exit": code} == GOLDEN[command]
+
+    # each output format and exit path, the largest outputs, ended by cli.run
+    # with stdout block-buffered, once into a pipe and once into a file
+    @pytest.mark.parametrize("command", [
+        "enumerate -n 14 --format json",  # ~385 kB, more than a pipe buffers
+        "enumerate -n 13 --force --format json",
+        "analyze -n 6 --base 2,3,3,4,4 --tree",
+        "table --id 2 --format md",
+        next(c for c in GOLDEN if c.startswith("analyze -n 20 ")),
+        "product --grassmann 1,5 --specials 2,3,3,3,3,3,3",
+        next(c for c in GOLDEN if c.startswith("analyze -n 300 ")),
+        "--help",
+        "bogus",
+        "analyze -n 5 --base 2,3",
+        "analyze -n 6 --base 2,3,3,4,4 --tree --format csv",
+    ], ids=command_id)
+    @pytest.mark.parametrize("sink", ["pipe", "file"])
+    def test_through_the_process_entry_point(self, tmp_path, command, sink):
+        argv = [sys.executable, "-m", "incidence_scrolls.cli", *command.split()]
+        if sink == "pipe":
+            proc = subprocess.run(argv, env=buffered_env(), capture_output=True,
+                                  timeout=120)
+            out = proc.stdout
+        else:
+            path = tmp_path / "stdout"
+            with path.open("wb") as sink_file:
+                proc = subprocess.run(argv, env=buffered_env(), stdout=sink_file,
+                                      stderr=subprocess.PIPE, timeout=120)
+            out = path.read_bytes()
+        assert {"stdout_sha256": hashlib.sha256(out).hexdigest(),
+                "stderr": proc.stderr.decode(), "exit": proc.returncode} == \
+            GOLDEN[command]
 
 
 class TestAnalyze:
@@ -368,6 +437,22 @@ class TestExitCodes:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
 
+    def test_run_exits_4_under_optimize(self):
+        # the same off-by-one kernel, through the process entry point
+        code = (
+            "import sys\n"
+            "from incidence_scrolls import cli, grassmann\n"
+            "kernel = grassmann._point_coefficient\n"
+            "grassmann._point_coefficient = lambda n, hs: kernel(n, hs) + 1\n"
+            "sys.argv[1:] = ['analyze', '-n', '5', '--base', '3,3,3,3,3,3,3']\n"
+            "cli.run()\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=buffered_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
     def test_deep_line_family_ignores_frame_limit(self):
         # the witness of the line family is n levels deep, far more than the
         # interpreter's frame limit here; the engine runs it on its own stack
@@ -416,6 +501,45 @@ class TestExitCodes:
                            preexec_fn=lambda: os.close(1))
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
+
+
+class TestProcessExit:
+    """`python -m incidence_scrolls.cli` ends through `cli.run`, which flushes
+    and calls os._exit; TestGoldenCorpus compares its output with `main`'s."""
+
+    def test_reader_gone_before_help(self):
+        # argparse prints the help and raises SystemExit, so cli.run's flush is
+        # the first write to the pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen([sys.executable, "-m", "incidence_scrolls.cli", "--help"],
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                env=buffered_env())
+        os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_registers_no_atexit_handler(self):
+        # os._exit in cli.run would skip it, and whatever it was to flush
+        code = (
+            "import atexit, contextlib, io\n"
+            "before = atexit._ncallbacks()\n"
+            "from incidence_scrolls import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['table', '--id', '3'])\n"
+            "    cli.main(['analyze', '-n', '6', '--base', '2,3,3,4,4', '--tree'])\n"
+            "    cli.main(['product', '--grassmann', '1,5', '--specials', '2,3'])\n"
+            "print(atexit._ncallbacks() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    def test_script_entry_point_is_run(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+        module, _, name = scripts["scrolls"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
 
 
 class TestStartup:

@@ -461,7 +461,7 @@ class TestSpeciality:
         assert speciality(5, 14, 8) == 6
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError, match="negative speciality h1=-3"):
             speciality(3, 5, 0)
 
 

@@ -10,9 +10,9 @@ and restrict_to_span check every base they make.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Iterator
 
 
 class InvariantError(RuntimeError):
@@ -163,19 +163,6 @@ def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
     return base
 
 
-def _dims_summing_to(n: int, remaining: int, min_dim: int) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing dimension tuples in [min_dim, n-2] imposing `remaining`
-    conditions in P^n, in lexicographic order."""
-    if remaining == 0:
-        yield ()
-        return
-    for d in range(min_dim, n - 1):
-        cost = n - 1 - d
-        if cost <= remaining:
-            for rest in _dims_summing_to(n, remaining - cost, d):
-                yield (d,) + rest
-
-
 def enumerate_bases(n: int, *, nondegenerate_only: bool = False,
                     contains_dim: int | None = None) -> list[IncidenceBase]:
     """All bases imposing exactly 2n-3 conditions in P^n, sorted by their dims.
@@ -185,11 +172,15 @@ def enumerate_bases(n: int, *, nondegenerate_only: bool = False,
     """
     if n < 3:
         raise ValueError(f"need ambient n >= 3, got {n}")
-    out = []
-    for dims in _dims_summing_to(n, 2 * n - 3, 0):
-        if nondegenerate_only and (0 in dims or not is_nondegenerate((n, dims))):
-            continue
-        if contains_dim is not None and contains_dim not in dims:
-            continue
-        out.append(IncidenceBase._make((n, dims)))
-    return out
+
+    @functools.cache
+    def tails(remaining: int, min_dim: int) -> list[tuple[int, ...]]:
+        # sorted dims >= min_dim imposing `remaining` conditions (d costs n - 1 - d)
+        return [(d,) + rest for d in range(max(min_dim, n - 1 - remaining), n - 1)
+                for rest in tails(remaining - n + 1 + d, d)] if remaining else [()]
+
+    found = tails(2 * n - 3, 0)
+    tails.cache_clear()  # tails refers to itself: free its lists now, not at a gc pass
+    return [IncidenceBase._make((n, dims)) for dims in found
+            if (contains_dim is None or contains_dim in dims) and not (
+                nondegenerate_only and (0 in dims or not is_nondegenerate((n, dims))))]

@@ -31,7 +31,6 @@ KeyboardInterrupt still reach the interpreter.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -49,18 +48,22 @@ from .invariants import (
 )
 
 
-def _json_value(value: str | int | bool) -> str:
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return ("false", "true")[value] if isinstance(value, bool) else int.__repr__(value)
+_JSON_VALUE = {str: encode_basestring_ascii, int: int.__repr__,
+               bool: ("false", "true").__getitem__}
 
 
 def _json_rows(rows: list[dict]) -> str:
-    """json.dumps(rows, indent=2) for flat rows of str, int and bool values,
-    each string quoted by the C encoder that json.dumps itself calls."""
-    blocks = ["  {\n" + ",\n".join(f"    {encode_basestring_ascii(key)}: {_json_value(value)}"
-                                  for key, value in row.items()) + "\n  }" if row else "  {}"
-              for row in rows]
+    """json.dumps(rows, indent=2) for flat rows of str, int and bool values; keys
+    are quoted once per key tuple, strings by the C encoder json.dumps calls."""
+    templates: dict[tuple, str] = {}
+    blocks = []
+    for row in rows:
+        if (keys := tuple(row)) not in templates:
+            templates[keys] = "  {\n" + ",\n".join(
+                f"    {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+                for key in keys) + "\n  }" if keys else "  {}"
+        blocks.append(templates[keys] % tuple(
+            [_JSON_VALUE[type(value)](value) for value in row.values()]))
     return "[\n" + ",\n".join(blocks) + "\n]" if blocks else "[]"
 
 
@@ -68,6 +71,7 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
     if fmt == "json":
         return _json_rows(rows)
     if fmt == "csv":
+        import csv  # only this format needs the module
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()

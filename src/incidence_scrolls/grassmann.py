@@ -11,7 +11,7 @@ Kostka number, read off the integer prod(1 + t + ... + t^c_i) at t = 2^b.
 from __future__ import annotations
 
 import functools
-import math
+from bisect import bisect_right
 from collections.abc import Callable, Iterable
 
 
@@ -24,12 +24,17 @@ def _check_parameters(n: int, hs: Iterable[int]) -> None:
 
 
 def _coefficients(n: int, hs: tuple[int, ...]) -> Callable[[int], int]:
-    """Reader k -> [t^k]P, k >= 0, of P = prod(1 + t + ... + t^c_i).
+    """Reader k -> [t^k]P, k >= 0, of P = prod(1 + t + ... + t^c_i), hs sorted.
 
     P is one int, at t = 2^b > P(1) = prod(c_i + 1): no b-bit slot carries.
     """
-    runs = [(n - h, hs.count(h)) for h in set(hs)]  # (c_i + 1, multiplicity)
-    b = math.prod([width ** count for width, count in runs]).bit_length()
+    runs, whole, start = [], 1, 0  # (c_i + 1, multiplicity) of each run of equal h; P(1)
+    while start < len(hs):
+        end = bisect_right(hs, hs[start], start)
+        runs.append((n - hs[start], end - start))
+        whole *= runs[-1][0] ** runs[-1][1]
+        start = end
+    b = whole.bit_length()
     mask = (1 << b) - 1
     p = 1
     for width, count in runs:
@@ -49,7 +54,7 @@ def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]
     s = (n - 1) * len(hs) - sum(hs)
     if s > 2 * (n - 1):
         return {}  # past the point class; P would have about S^2 bits
-    slot = _coefficients(n, hs)
+    slot = _coefficients(n, tuple(sorted(hs)))
     return {(n - 1 - s + l, n - l): coeff
             for l in range(max(0, s - n + 1), s // 2 + 1)
             if (coeff := slot(l) - (l and slot(l - 1)))}

@@ -17,7 +17,7 @@ from . import grassmann
 from .bases import (
     IncidenceBase,
     InvariantError,
-    _pair,
+    JoinResult,
     format_base,
     is_nondegenerate,
     join,
@@ -43,18 +43,18 @@ def degree(base: IncidenceBase) -> int:
     return _kernel(n, dims + (n - 2,))
 
 
-def kappa(base: IncidenceBase, i: int, j: int) -> int:
-    """Number of generators shared by the two components of a join at (i, j).
+def kappa(parts: JoinResult) -> int:
+    """Number of generators shared by the two components of a join.
 
     A common generator lies in the hyperplane, passes through the P^m cut
-    out by the pair, and meets the trace of every other base space; the
-    count is the corresponding intersection number one ambient down.
+    out by the pair, and meets the trace of every other base space.  Those
+    are the spaces of the `dot` component, each but P^m cut down by one; the
+    count is their intersection number one ambient down.
     """
-    n, dims = base
-    _, _, m, others = _pair(n, dims, i, j)
-    traces = tuple([d - 1 for d in others])
-    k = bisect_left(traces, m)  # 0 for the two smallest spaces: m <= d - 1
-    value = _kernel(n - 1, traces[:k] + (m,) + traces[k:])
+    (n, dims), _, m = parts
+    key = [d - 1 for d in dims]
+    key[bisect_right(dims, m) - 1] = m  # the last P^m: the key stays sorted
+    value = _kernel(n - 1, tuple(key))
     if value < 1:
         raise InvariantError(f"kappa must be positive, got {value}")
     return value
@@ -84,7 +84,7 @@ def _tree(base: IncidenceBase):
         return DegenerationNode(base, "restrict", child.degree, child.genus,
                                 children=(child,))
     parts = join(base, 0, 1)
-    shared = kappa(base, 0, 1)
+    shared = kappa(parts)
     if parts.m == 0 and shared != 1:
         raise InvariantError(f"m=0 join must share one generator, got {shared}")
     dot = yield parts.dot

@@ -146,7 +146,7 @@ def test_criterion_7_degeneration_bookkeeping():
                 check(reference)
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
                     result = join(base, i, j)
-                    shared = kappa(base, i, j)
+                    shared = kappa(result)
                     assert shared >= 1
                     if result.m == 0:
                         assert shared == 1

@@ -36,6 +36,15 @@ def random_bases(draw, max_n=20):
     return IncidenceBase(n, tuple(dims))
 
 
+def partition_count(total, largest):
+    """Partitions of `total` into parts <= `largest`, one part size at a time."""
+    ways = [1] + [0] * total
+    for part in range(1, largest + 1):
+        for k in range(part, total + 1):
+            ways[k] += ways[k - part]
+    return ways[total]
+
+
 def nondegenerate_oracle(base):
     """Every pair of base spaces spans the ambient, trying every pair."""
     return all(x + y >= base.ambient - 1
@@ -164,9 +173,18 @@ class TestEnumeration:
     def test_complete_against_brute_force(self, n):
         assert set(enumerate_bases(n)) == brute_force_bases(n)
 
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_complete_by_partition_count(self, n):
+        # a space of dimension d in [0, n-2] imposes n - 1 - d conditions, so
+        # the bases are the partitions of 2n - 3 into parts <= n - 1: distinct
+        # valid bases, as many as those partitions, are all of them
+        bases = enumerate_bases(n)
+        assert all(satisfies_is(base) for base in bases)
+        assert len(set(bases)) == len(bases) == partition_count(2 * n - 3, n - 1)
+
     @pytest.mark.parametrize("n", range(3, 15))
     def test_listed_in_sorted_order(self, n):
-        # the generator yields dims in lexicographic order: no sort is needed
+        # the enumerator builds dims in lexicographic order: no sort is needed
         bases = enumerate_bases(n)
         assert bases == sorted(bases)
 

@@ -165,6 +165,9 @@ class TestJsonRows:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.dictionaries(json_strings, json_scalars, max_size=8), max_size=6))
     @example([])
+    @example([{"%": 1, "%s": "%s", "a%%b": "%d%%"}, {"%s%": True}])
+    @example([{"a": 1, "b": "x"}, {"b": "y", "a": 2}, {"a": 3}, {"a": 4, "b": "z"}])
+    @example([{"a": 1}, {}, {"a": 2}])
     def test_equals_json_dumps(self, rows):
         columns = list(rows[0]) if rows else ["base"]
         assert _render_rows(rows, columns, "json") == json.dumps(rows, indent=2)
@@ -414,8 +417,8 @@ class TestExitCodes:
     def test_wrong_genus_exits_4(self, capsys, monkeypatch):
         # kappa + 1 on the joins with m > 0: every degree holds, the genus does not
         shared = invariants.kappa
-        monkeypatch.setattr(invariants, "kappa", lambda base, i, j: shared(
-            base, i, j) + (invariants._pair(*base, i, j)[2] > 0))
+        monkeypatch.setattr(invariants, "kappa",
+                            lambda parts: shared(parts) + (parts.m > 0))
         assert run(capsys, "analyze", "-n", "5", "--base", "3,3,3,3,3,3,3") == (
             4, "", "error: adjunction gives 2g - 2 = 14, not the degeneration "
             "genus 12, for n=5 dims=3,3,3,3,3,3,3\n")

@@ -71,7 +71,7 @@ def check_witness(base, table):
             assert [dot["base"], ddot["base"]] == \
                 [format_base(result.dot), format_base(result.ddot)]
             assert row["m"] == result.m
-            assert row["kappa"] == kappa(node_base, 0, 1)
+            assert row["kappa"] == kappa(result)
             assert d == dot["degree"] + ddot["degree"]
             assert g == dot["genus"] + ddot["genus"] + row["kappa"] - 1
     root = nodes[table["root"]]
@@ -87,7 +87,7 @@ def forced_join(base, i, j):
     join pair of a nondegenerate base must give the engine's own numbers.
     """
     result = join(base, i, j)
-    shared = kappa(base, i, j)
+    shared = kappa(result)
     assert shared >= 1
     if result.m == 0:
         assert shared == 1
@@ -159,30 +159,32 @@ class TestDegree:
 
 
 class TestKappa:
+    """kappa takes the result of `join`, so a bad pair is refused before it."""
+
     def test_seven_solids(self):
-        assert kappa(B(5, 3, 3, 3, 3, 3, 3, 3), 0, 1) == 5
+        assert kappa(join(B(5, 3, 3, 3, 3, 3, 3, 3), 0, 1)) == 5
 
     def test_m_zero_forces_one(self):
         base = B(6, 2, 3, 3, 4, 4)
         assert base.dims[0] + base.dims[1] - base.ambient + 1 == 0
-        assert kappa(base, 0, 1) == 1
+        assert kappa(join(base, 0, 1)) == 1
 
     def test_five_planes(self):
-        assert kappa(B(4, 2, 2, 2, 2, 2), 0, 1) == 2
+        assert kappa(join(B(4, 2, 2, 2, 2, 2), 0, 1)) == 2
 
     def test_inadmissible_pair(self):
         with pytest.raises(ValueError):
-            kappa(B(6, 2, 2, 3, 4), 0, 1)  # m = 2+2-6+1 < 0
+            kappa(join(B(6, 2, 2, 3, 4), 0, 1))  # m = 2+2-6+1 < 0
 
     @pytest.mark.parametrize("i,j", [(-1, 3), (0, 5), (1, 1)])
     def test_bad_pair_rejected(self, i, j):
         with pytest.raises(ValueError, match=rf"pair \({i}, {j}\) is not two "
                                              r"distinct spaces of n=6 dims=2,3,3,4,4"):
-            kappa(B(6, 2, 3, 3, 4, 4), i, j)
+            kappa(join(B(6, 2, 3, 3, 4, 4), i, j))
 
     def test_point_cannot_be_pushed(self):
         with pytest.raises(ValueError, match="^cannot push a point into the hyperplane$"):
-            kappa(B(4, 0, 2, 2), 1, 2)
+            kappa(join(B(4, 0, 2, 2), 1, 2))
 
 
 class TestGenus:
@@ -375,6 +377,24 @@ class TestEngineSeams:
             classify(base)
         assert all(calls.values()), calls
 
+    def test_one_pair_per_join_step(self, monkeypatch):
+        # join checks the pair and kappa reads its key off join's result, so
+        # the enumerate -n 13 sweep works out each of its 1532 pairs once
+        pairs = []
+        pair = incidence_scrolls.bases._pair
+
+        def counted(*args):
+            pairs.append(args)
+            return pair(*args)
+
+        for module in (invariants, incidence_scrolls.bases):
+            if getattr(module, "_pair", None) is pair:
+                monkeypatch.setattr(module, "_pair", counted)
+        for base in enumerate_bases(13):
+            classify(base)
+        joins = [node for node in invariants._nodes.values() if node.action == "join"]
+        assert len(pairs) == len(joins) == 1532
+
 
 def sent_keys(steps):
     """Every (n, hs) that running `steps` sends to the engine's kernel seam."""
@@ -435,12 +455,12 @@ class TestSortedKernelKeys:
     @settings(max_examples=150, deadline=None)
     @given(random_bases())
     def test_kappa_of_every_pair(self, base):
-        # kappa inserts P^m among the other traces wherever it falls
+        # P^m keeps its place among the other traces wherever it falls
         pairs = [(i, j) for i, j in itertools.combinations(range(len(base.dims)), 2)
                  if base.dims[i] + base.dims[j] >= base.ambient - 1
                  and 0 not in base.dims[:i] + base.dims[i + 1:j] + base.dims[j + 1:]]
         assume(pairs)
-        assert_sorted(sent_keys(lambda: [kappa(base, i, j) for i, j in pairs]))
+        assert_sorted(sent_keys(lambda: [kappa(join(base, i, j)) for i, j in pairs]))
 
     @pytest.mark.parametrize("bases", [
         [base for n in range(3, 13) for base in enumerate_bases(n)],
@@ -625,13 +645,13 @@ class TestCrossChecks:
     def test_kappa_must_be_positive(self, monkeypatch):
         monkeypatch.setattr(invariants, "_kernel", lambda n, hs: 0)
         base = B(5, 3, 3, 3, 3, 3, 3, 3)
-        for step in (lambda: kappa(base, 0, 1), lambda: degeneration_tree(base),
+        for step in (lambda: kappa(join(base, 0, 1)), lambda: degeneration_tree(base),
                      lambda: classify(base)):
             with pytest.raises(InvariantError, match="kappa must be positive"):
                 step()
 
     def test_m_zero_join_shares_one_generator(self, monkeypatch):
-        monkeypatch.setattr(invariants, "kappa", lambda base, i, j: 2)
+        monkeypatch.setattr(invariants, "kappa", lambda parts: 2)
         with pytest.raises(InvariantError, match="m=0 join must share one"):
             degeneration_tree(B(6, 2, 3, 3, 4, 4))
 
@@ -640,8 +660,8 @@ class TestCrossChecks:
         # genus of the seven solids from 8 to 12 while every degree holds
         shared = invariants.kappa
 
-        def one_more(base, i, j):
-            return shared(base, i, j) + (invariants._pair(*base, i, j)[2] > 0)
+        def one_more(parts):
+            return shared(parts) + (parts.m > 0)
 
         monkeypatch.setattr(invariants, "kappa", one_more)
         base = B(5, 3, 3, 3, 3, 3, 3, 3)

@@ -35,7 +35,6 @@ import io
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .bases import IncidenceBase, enumerate_bases, format_base
 from .grassmann import product_of_specials, render
@@ -48,23 +47,20 @@ from .invariants import (
 )
 
 
-_JSON_VALUE = {str: encode_basestring_ascii, int: int.__repr__,
-               bool: ("false", "true").__getitem__}
-
-
 def _json_rows(rows: list[dict]) -> str:
-    """json.dumps(rows, indent=2) for flat rows of str, int and bool values; keys
-    are quoted once per key tuple, strings by the C encoder json.dumps calls."""
-    templates: dict[tuple, str] = {}
-    blocks = []
-    for row in rows:
-        if (keys := tuple(row)) not in templates:
-            templates[keys] = "  {\n" + ",\n".join(
-                f"    {encode_basestring_ascii(key).replace('%', '%%')}: %s"
-                for key in keys) + "\n  }" if keys else "  {}"
-        blocks.append(templates[keys] % tuple(
-            [_JSON_VALUE[type(value)](value) for value in row.values()]))
-    return "[\n" + ",\n".join(blocks) + "\n]" if blocks else "[]"
+    """json.dumps(rows, indent=2) for rows of str, int and bool values, written by
+    the C encoder, which json uses only without `indent`.
+
+    The encoder puts the item separator between the rows and between the items
+    of a row; the seams are then fixed up as text.  An encoded string never
+    holds a raw newline and a row holds no container, so a raw "},\n    {"
+    can only join two rows.
+    """
+    if not rows:
+        return "[]"
+    text = json.dumps(rows, separators=(",\n    ", ": "))[2:-2]
+    return ("[\n  {\n    " + text.replace("},\n    {", "\n  },\n  {\n    ")
+            + "\n  }\n]").replace("{\n    \n  }", "{}")
 
 
 def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
@@ -75,21 +71,16 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in columns})
+        writer.writerows(rows)
         return buf.getvalue().rstrip("\n")
-    cells = [[str(row.get(c, "")) for c in columns] for row in rows]
-    widths = [max(len(c), *(len(r[k]) for r in cells)) if cells else len(c)
-              for k, c in enumerate(columns)]
+    grid = [columns] + [[str(row[c]) for c in columns] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    padded = [[cell.ljust(w) for cell, w in zip(line, widths)] for line in grid]
     if fmt == "md":
-        lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(columns, widths)) + " |",
-                 "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-        lines += ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |"
-                  for row in cells]
+        lines = ["| " + " | ".join(line) + " |" for line in padded]
+        lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
         return "\n".join(lines)
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
-    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
-    return "\n".join(lines)
+    return "\n".join("  ".join(line) for line in padded)
 
 
 def _report_row(report: ScrollReport) -> dict:

@@ -25,13 +25,6 @@ from .bases import (
 )
 
 
-def binom(a: int, b: int) -> int:
-    """Binomial coefficient, zero outside the usual range (a < b or a < 0)."""
-    if a < 0 or b < 0 or a < b:
-        return 0
-    return comb(a, b)
-
-
 ClosedFormRecord = namedtuple(
     "ClosedFormRecord",
     "family n base degree genus directrix_degree extras degenerate",
@@ -88,8 +81,8 @@ def p2s(n: int, i: int) -> ClosedFormRecord:
         (2,) + (n - 3,) * i + (n - 2,) * (n - 2 * i)))))
     return _finish(ClosedFormRecord(
         family="p2s", n=n, base=base,
-        degree=binom(n - i, 2) + i - 1,
-        genus=binom(n - i - 2, 2),
+        degree=comb(n - i, 2) + i - 1,
+        genus=comb(n - i - 2, 2),
         directrix_degree=n - i - 1,
     ))
 
@@ -113,9 +106,9 @@ def p3s(n: int, j: int, i: int) -> ClosedFormRecord:
         (3,) + (n - 4,) * j + (n - 3,) * i + (n - 2,) * (n + 1 - 3 * j - 2 * i)))))
     return _finish(ClosedFormRecord(
         family="p3s", n=n, base=base,
-        degree=binom(q + 1, 3) - q + (i + j) * q + j - 1,
-        genus=binom(q, 3) + binom(q - 1, 3) - 2 * q + (i + j) * (q - 2) + 4,
-        directrix_degree=binom(q, 2) + i + j - 1,
+        degree=comb(q + 1, 3) - q + (i + j) * q + j - 1,
+        genus=comb(q, 3) + comb(q - 1, 3) - 2 * q + (i + j) * (q - 2) + 4,
+        directrix_degree=comb(q, 2) + i + j - 1,
     ))
 
 

@@ -71,13 +71,14 @@ def _tree(base: IncidenceBase):
     """Witness of a base, as a generator run by `degeneration_tree`.
 
     It yields each base it reduces to, is sent that base's node, and
-    returns its own node.  A base that reaches the join is nondegenerate and
-    point-free in P^n, n >= 3, so it has two spaces (one imposes at most
+    returns its own node.  A base with a point is a leaf, and every base of
+    P^2 is {P^0}.  So a base that reaches the join is nondegenerate and
+    point-free in P^n, n >= 3: it has two spaces (one imposes at most
     n - 2 < 2n - 3 conditions), and its two smallest span the ambient: they
     are joined, meeting in the smallest P^m.
     """
-    if base.ambient <= 2 or 0 in base.dims:
-        # a point in the base (or a planar ambient) sweeps a plane pencil
+    if 0 in base.dims:
+        # a point in the base sweeps a plane pencil
         return DegenerationNode(base, "leaf", 1, 0)
     if not is_nondegenerate(base):
         child = yield restrict_to_span(base)

@@ -55,3 +55,29 @@ def adjunction_genus(base):
             total += (n - 2 - h) * e
     assert total % 2 == 0, (base, total)
     return total // 2 + 1
+
+
+def k_theory_genus(base):
+    """Genus of the scroll of a base from K-theory, without the kernel or the recursion.
+
+    The structure sheaf of the curve of lines is the product of the classes
+    O_(p) of its special Schubert varieties, p = n - 1 - d for a space P^d
+    (Brion), and every Schubert variety has Euler characteristic 1, so
+    1 - g is the sum of the product's coefficients.  Lenart's K-Pieri rule
+    on two rows, inside the 2 x (n - 1) box: O_l O_(p) is the sum of O_m
+    over the horizontal strips m/l of size p, minus the sum over the strips
+    of size p + 1 that touch both rows.
+    """
+    n, dims = base
+    terms = {(0, 0): 1}
+    for d in dims:
+        p = n - 1 - d
+        out = {}
+        for (l1, l2), coeff in terms.items():
+            for m2 in range(l2, l1 + 1):  # a horizontal strip: m2 <= l1
+                for size, sign in ((p, 1), (p + 1, -1)):
+                    m1 = l1 + size - (m2 - l2)
+                    if l1 <= m1 <= n - 1 and (sign > 0 or (m1 > l1 and m2 > l2)):
+                        out[m1, m2] = out.get((m1, m2), 0) + sign * coeff
+        terms = {key: coeff for key, coeff in out.items() if coeff}
+    return 1 - sum(terms.values())

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib
+import io
 import itertools
 import json
 import os
@@ -171,6 +173,49 @@ class TestJsonRows:
     def test_equals_json_dumps(self, rows):
         columns = list(rows[0]) if rows else ["base"]
         assert _render_rows(rows, columns, "json") == json.dumps(rows, indent=2)
+
+
+# cells of every type a row holds, without a line break: text and md lines
+# end at "\n", and a csv with lineterminator "\n" leaves a lone "\r" unquoted
+grid_cells = st.one_of(st.text(st.characters(blacklist_characters="\r\n")),
+                       st.integers(), st.booleans())
+
+
+@st.composite
+def grid_tables(draw):
+    """Rows and their columns; column names hold no space and no "|"."""
+    columns = draw(st.lists(st.text("abxyz_%", min_size=1, max_size=8),
+                            min_size=1, max_size=5, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries(dict.fromkeys(columns, grid_cells)),
+                         max_size=6))
+    return rows, columns
+
+
+class TestGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_tables())
+    def test_csv_reads_back(self, table):
+        rows, columns = table
+        out = _render_rows(rows, columns, "csv")
+        assert list(csv.DictReader(io.StringIO(out, newline=""))) == [
+            {c: str(row[c]) for c in columns} for row in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_tables(), st.sampled_from(["text", "md"]))
+    def test_cells_start_under_their_header(self, table, fmt):
+        rows, columns = table
+        lines = _render_rows(rows, columns, fmt).split("\n")
+        header, body = lines[0], lines[2 if fmt == "md" else 1:]
+        if fmt == "md":
+            assert set(lines[1]) == {"|", "-"}
+        assert len(body) == len(rows)
+        assert len({len(line) for line in lines}) == 1
+        offsets = [m.start() for m in re.finditer(r"[^ |]+", header)]
+        assert [header[o:o + len(c)] for o, c in zip(offsets, columns)] == columns
+        assert len(offsets) == len(columns)
+        for line, row in zip(body, rows):
+            cells = [str(row[c]) for c in columns]
+            assert [line[o:o + len(cell)] for o, cell in zip(offsets, cells)] == cells
 
 
 class TestGoldenStdout:

@@ -4,7 +4,7 @@ import traceback
 import pytest
 
 from incidence_scrolls.bases import IncidenceBase, join, restrict_to_span
-from incidence_scrolls.closed_forms import binom, p1s, p2s, p3s, table
+from incidence_scrolls.closed_forms import p1s, p2s, p3s, table
 from incidence_scrolls.invariants import classify
 
 
@@ -33,17 +33,6 @@ def assert_engine_agrees(record):
         fixed_dim = {"p1s": 1, "p2s": 2, "p3s": 3}[record.family]
         assert dict((a, d) for a, d, _ in report.directrix)[fixed_dim] == \
             record.directrix_degree
-
-
-class TestBinom:
-    def test_usual(self):
-        assert binom(5, 2) == 10
-        assert binom(4, 0) == 1
-
-    def test_out_of_range_is_zero(self):
-        assert binom(2, 3) == 0
-        assert binom(-1, 0) == 0
-        assert binom(3, -1) == 0
 
 
 class TestLineFamily:

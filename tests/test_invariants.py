@@ -31,7 +31,7 @@ from incidence_scrolls.invariants import (
     node_table,
     speciality,
 )
-from oracles import adjunction_genus, pieri_fold, separate
+from oracles import adjunction_genus, k_theory_genus, pieri_fold, separate
 
 
 def B(ambient, *dims):
@@ -206,7 +206,9 @@ class TestGenus:
         assert any(0 in base.dims for base in bases)
         assert any(not is_nondegenerate(base) for base in bases)
         for base in bases:
-            assert adjunction_genus(base) == classify(base).genus, base
+            genus = classify(base).genus
+            assert adjunction_genus(base) == genus, base
+            assert k_theory_genus(base) == genus, base
 
     def test_degenerate_base(self):
         # {P^2, P^2, P^3, P^4} in P^6 spans only a P^5
@@ -311,6 +313,27 @@ class TestDegenerationTree:
         roots += [degeneration_tree(witness_base(n)) for n in (10, 11, 12)]
         for root in roots:
             assert node_table(root) == node_table_oracle(root)
+
+    def test_a_point_ends_the_recursion_and_is_degenerate(self):
+        # every base of P^2 is {P^0} (a P^1 is a hyperplane there and imposes
+        # no condition), so a leaf needs no test of the ambient
+        plane = {B(2, *dims) for k in range(6)
+                 for dims in itertools.combinations_with_replacement((0, 1), k)
+                 if satisfies_is((2, tuple(d for d in dims if d == 0)))}
+        assert plane == {B(2, 0)}
+        nodes, stack = set(), [degeneration_tree(base)
+                               for n in range(3, 13) for base in enumerate_bases(n)]
+        while stack:
+            node = stack.pop()
+            if node.base not in nodes:
+                nodes.add(node.base)
+                stack.extend(node.children)
+        assert B(2, 0) in nodes
+        assert all(base.ambient >= 3 for base in nodes if base != B(2, 0))
+        # a point and a space d make 0 + d >= n - 1 only if d is a hyperplane
+        for n in range(3, 15):
+            with_point = enumerate_bases(n, contains_dim=0)
+            assert with_point and not any(map(is_nondegenerate, with_point))
 
     def test_failed_build_keeps_only_completed_nodes(self, monkeypatch):
         kernel_kappa = invariants.kappa
@@ -714,6 +737,11 @@ class TestRandomBases:
     @given(random_bases())
     def test_genus_by_adjunction(self, base):
         assert adjunction_genus(base) == classify(base).genus
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases())
+    def test_genus_by_k_theory(self, base):
+        assert k_theory_genus(base) == classify(base).genus
 
     @settings(max_examples=150, deadline=None)
     @given(random_bases())

@@ -14,18 +14,19 @@ conditions, 141 the reader of stdout exited before reading all the output, as
 in `scrolls ... | head` (the status a shell reports for a process killed by
 SIGPIPE).  The checks also run under python -O.
 
-`main(argv)` is the in-process API that tests and tools call: it returns the
-exit code, and argparse raises SystemExit from it for `--help` and usage
-errors.  `run()` is the process entry point of the `scrolls` script and of
-`python -m incidence_scrolls.cli`.  It calls `main`, takes the code of
-argparse's SystemExit, flushes stdout and stderr (a reader gone by then is
-exit 141), and ends the process with `os._exit`.  That skips the
-interpreter's teardown, which frees the witness, the kernel memo and every
-loaded module: about 8-10 ms per process on a 2-vCPU x86-64 host (Python
-3.11).  Nothing else is skipped, because the package writes only to stdout
-and stderr and registers no atexit handler; output added later, such as
-statistics or logging, must be flushed in `run`.  Uncaught exceptions and
-KeyboardInterrupt still reach the interpreter.
+`main(argv)` is the in-process API that tests and tools call: it returns 0,
+2 or 4, and lets BrokenPipeError (the reader of stdout is gone) and
+argparse's SystemExit (`--help` and usage errors) through; it neither flushes
+nor touches a file descriptor.  `run()` is the process entry point of the
+`scrolls` script and of `python -m incidence_scrolls.cli`, and it alone ends
+the process: it calls `main`, takes the code of SystemExit, flushes stdout and
+stderr, turns a BrokenPipeError from either step into 141, and calls
+`os._exit`.  That skips the interpreter's teardown, which frees the witness,
+the kernel memo and every loaded module: about 8-10 ms per process on a
+2-vCPU x86-64 host (Python 3.11).  Nothing else is skipped, because the
+package writes only to stdout and stderr and registers no atexit handler;
+output added later, such as statistics or logging, must be flushed in `run`.
+Uncaught exceptions and KeyboardInterrupt still reach the interpreter.
 """
 
 from __future__ import annotations
@@ -269,18 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        # flush here, so that a reader that exits early is seen by this handler;
-        # stdout is None when the process starts with it closed
-        if sys.stdout is not None:
-            sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # point stdout at devnull, so that the flush at interpreter exit
-        # cannot fail again and print a traceback
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 141
+        return args.func(args)
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -292,15 +282,15 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """Run `main` on the process's arguments and end the process; never returns."""
     try:
-        code = main()
-    except SystemExit as exc:  # argparse: --help or a usage error
-        code = exc.code
-    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse: --help or a usage error
+            code = exc.code
         # either stream is None when the process starts with it closed
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except BrokenPipeError:
+    except BrokenPipeError:  # the reader of stdout exited early
         code = 141
     os._exit(code)
 

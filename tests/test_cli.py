@@ -61,10 +61,16 @@ def buffered_env():
     return env
 
 
-def cli_process(*argv, **kwargs):
-    """Start the command line in a fresh interpreter on this checkout."""
+def write_through_env():
+    """checkout_env with stdout written through on every write."""
+    return dict(checkout_env(), PYTHONUNBUFFERED="1")
+
+
+def cli_process(*argv, env=checkout_env, **kwargs):
+    """Start the command line in a fresh interpreter on this checkout, in the
+    environment that `env()` returns."""
     return subprocess.Popen([sys.executable, "-m", "incidence_scrolls.cli", *argv],
-                            env=checkout_env(), **kwargs)
+                            env=env(), **kwargs)
 
 
 def body_rows(out):
@@ -520,10 +526,13 @@ class TestExitCodes:
         assert (data["degree"], data["genus"], data["h1"]) == (n - 1, 0, 0)
         assert len(data["tree"]["nodes"]) == 2 * n - 3
 
-    def test_reader_exits_early(self):
+    @pytest.mark.parametrize("env", [write_through_env, buffered_env],
+                             ids=["write-through", "buffered"])
+    def test_reader_exits_early(self, env):
         # enumerate -n 12 prints ~140 kB of json, more than a pipe buffers, so
-        # the writer is still writing when the pipe is closed
-        proc = cli_process("enumerate", "-n", "12", "--format", "json",
+        # the writer is still writing when the pipe is closed: the broken pipe
+        # surfaces in a print inside main, not in run's final flush
+        proc = cli_process("enumerate", "-n", "12", "--format", "json", env=env,
                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             assert proc.stdout.readline() == b"[\n"
@@ -534,6 +543,25 @@ class TestExitCodes:
             proc.kill()
             proc.stderr.close()
         assert err == b""
+
+    def test_main_leaves_fd_1_alone(self, monkeypatch):
+        # an in-process caller owns its stdout: main lets the broken pipe
+        # through and points no file descriptor elsewhere
+        class GoneReader(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):  # so that a redirect of stdout would reach os.dup2
+                return 1
+
+        def no_dup2(*args):
+            pytest.fail(f"main called os.dup2{args}")
+
+        # patched for the call only: pytest's own capture calls os.dup2
+        with monkeypatch.context() as patch, pytest.raises(BrokenPipeError):
+            patch.setattr(sys, "stdout", GoneReader())
+            patch.setattr(os, "dup2", no_dup2)
+            main(["enumerate", "-n", "12", "--format", "json"])
 
     @pytest.mark.parametrize("argv", [["enumerate", "-n", "3"],
                                       ["analyze", "-n", "3", "--base", "1,1,1"]])

@@ -9,7 +9,6 @@ from .bases import (
     format_base,
     is_nondegenerate,
     join,
-    parse_base,
     restrict_to_span,
     satisfies_is,
 )
@@ -30,7 +29,7 @@ __all__ = [
     "intersection_number", "product_of_specials", "render",
     "IncidenceBase", "InvariantError", "JoinResult",
     "conditions_count", "enumerate_bases", "format_base",
-    "is_nondegenerate", "join", "parse_base", "restrict_to_span", "satisfies_is",
+    "is_nondegenerate", "join", "restrict_to_span", "satisfies_is",
     "DegenerationNode", "ScrollReport",
     "classify", "degeneration_tree", "degree", "directrix_degree", "kappa",
     "node_table", "speciality",

@@ -4,8 +4,8 @@ A base is a multiset of linear-subspace dimensions inside a fixed projective
 ambient space.  The engine only ever needs the dimensions: all counts are
 generic, so no coordinates are kept.  An IncidenceBase is always a canonical
 incidence-scroll base: its constructor checks the range of each dimension,
-sorts the dims, drops the hyperplanes and checks the 2n-3 condition.  join
-and restrict_to_span check every base they make.
+sorts the dims, drops the hyperplanes and checks the 2n-3 condition.  Every
+base the package derives itself is made and checked by `_derived`.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ class IncidenceBase(namedtuple("IncidenceBase", "ambient dims")):
     and the sorted dims of the base spaces, without hyperplanes (they impose
     no condition), imposing exactly 2n-3 conditions on lines.
 
-    The constructor raises ValueError on any other input.  `_make` skips the
-    checks; the engine wraps only results it has checked with it.
+    The constructor raises ValueError on any other input.
     """
 
     __slots__ = ()
@@ -44,7 +43,8 @@ class IncidenceBase(namedtuple("IncidenceBase", "ambient dims")):
         for d in dims:
             if not 0 <= d < ambient:
                 raise ValueError(f"base space dimension {d} out of range for P^{ambient}")
-        base = super().__new__(cls, ambient, _canonical(ambient, dims))
+        # sorted dims: the hyperplanes, which impose no condition, come last
+        base = super().__new__(cls, ambient, dims[:bisect_left(dims, ambient - 1)])
         if not satisfies_is(base):
             raise ValueError(
                 f"{format_base(base)} is not an incidence-scroll base: "
@@ -58,17 +58,6 @@ def format_base(base: IncidenceBase) -> str:
     return f"n={ambient} dims={','.join(map(str, dims))}"
 
 
-def parse_base(text: str) -> IncidenceBase:
-    try:
-        n_part, dims_part = text.split()
-        ambient = int(n_part.removeprefix("n="))
-        body = dims_part.removeprefix("dims=")
-        dims = tuple(int(d) for d in body.split(",")) if body else ()
-    except (ValueError, AttributeError) as exc:
-        raise ValueError(f"cannot parse base {text!r}") from exc
-    return IncidenceBase(ambient, dims)
-
-
 def conditions_count(base: IncidenceBase) -> int:
     """Number of linear conditions the base imposes on lines in its ambient."""
     ambient, dims = base
@@ -80,11 +69,15 @@ def satisfies_is(base: IncidenceBase) -> bool:
     return conditions_count(base) == 2 * base[0] - 3
 
 
-def _require_result_is(base: IncidenceBase, step: str) -> None:
+def _derived(ambient: int, dims, step: str) -> IncidenceBase:
+    """The base that `step` derives, from sorted dims in range, without the
+    hyperplanes; only a fault in the step can break its 2n-3 condition."""
+    base = IncidenceBase._make((ambient, tuple(dims[:bisect_left(dims, ambient - 1)])))
     if not satisfies_is(base):
         raise InvariantError(
             f"{step} produced {format_base(base)}, which is not an "
             f"incidence-scroll base")
+    return base
 
 
 def is_nondegenerate(base: IncidenceBase) -> bool:
@@ -95,11 +88,6 @@ def is_nondegenerate(base: IncidenceBase) -> bool:
     """
     ambient, dims = base
     return len(dims) < 2 or dims[0] + dims[1] >= ambient - 1
-
-
-def _canonical(ambient: int, dims: tuple[int, ...]) -> tuple[int, ...]:
-    # sorted dims: the hyperplanes, which impose no condition, come last
-    return dims[:bisect_left(dims, ambient - 1)]
 
 
 JoinResult = namedtuple("JoinResult", "dot ddot m")
@@ -133,12 +121,9 @@ def join(base: IncidenceBase, i: int, j: int) -> JoinResult:
     n, dims = base
     di, dj, m, others = _pair(n, dims, i, j)
     k = bisect_left(others, m)  # others are sorted; keep them so
-    dot = IncidenceBase._make((n, _canonical(n, others[:k] + (m,) + others[k:])))
-    ddot = IncidenceBase._make((n - 1, _canonical(
-        n - 1, tuple(sorted([d - 1 for d in others] + [di, dj])))))
-    _require_result_is(dot, "join")
-    _require_result_is(ddot, "join")
-    return JoinResult(dot, ddot, m)
+    dot = _derived(n, others[:k] + (m,) + others[k:], "join")
+    return JoinResult(dot, _derived(
+        n - 1, sorted([d - 1 for d in others] + [di, dj]), "join"), m)
 
 
 def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
@@ -158,8 +143,7 @@ def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
         n, dims = base
         span = dims[0] + dims[1] + 1
         shrunk = [d - n + span for d in dims[2:]] + [dims[0], dims[1]]
-        base = IncidenceBase._make((span, _canonical(span, tuple(sorted(shrunk)))))
-        _require_result_is(base, "restrict_to_span")
+        base = _derived(span, sorted(shrunk), "restrict_to_span")
     return base
 
 

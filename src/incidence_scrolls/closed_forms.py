@@ -16,13 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .bases import (
-    IncidenceBase,
-    InvariantError,
-    format_base,
-    is_nondegenerate,
-    satisfies_is,
-)
+from .bases import _derived, is_nondegenerate
 
 
 ClosedFormRecord = namedtuple(
@@ -35,17 +29,6 @@ family is "p1s", "p2s" or "p3s"; extras holds the Table-1 columns of the
 line family and is None for the others."""
 
 
-def _finish(record: ClosedFormRecord) -> ClosedFormRecord:
-    # the families build their bases with IncidenceBase._make: this is their check
-    if not satisfies_is(record.base):
-        raise InvariantError(
-            f"{record.family} closed form built {format_base(record.base)}, "
-            f"which is not an incidence-scroll base")
-    if not is_nondegenerate(record.base):
-        return record._replace(degenerate=True)
-    return record
-
-
 def p1s(n: int) -> ClosedFormRecord:
     """Scroll with a directrix line: the rational normal scroll of degree n-1.
 
@@ -55,8 +38,8 @@ def p1s(n: int) -> ClosedFormRecord:
     """
     if n < 3:
         raise ValueError(f"line family needs n >= 3, got {n}")
-    base = IncidenceBase._make((n, (1,) + (n - 2,) * (n - 1)))
-    return _finish(ClosedFormRecord(
+    base = _derived(n, (1,) + (n - 2,) * (n - 1), "p1s closed form")
+    return ClosedFormRecord(
         family="p1s", n=n, base=base,
         degree=n - 1, genus=0, directrix_degree=1,
         extras={
@@ -64,7 +47,8 @@ def p1s(n: int) -> ClosedFormRecord:
             "deg_b": n - 2,
             "min_directrix_count": None if n == 3 else 1,
         },
-    ))
+        degenerate=not is_nondegenerate(base),
+    )
 
 
 def p2s(n: int, i: int) -> ClosedFormRecord:
@@ -77,14 +61,15 @@ def p2s(n: int, i: int) -> ClosedFormRecord:
         raise ValueError(f"plane family needs n >= 4, got {n}")
     if not 0 <= 2 * i <= n:
         raise ValueError(f"need 0 <= i <= n/2, got i={i} for n={n}")
-    base = IncidenceBase._make((n, tuple(sorted(
-        (2,) + (n - 3,) * i + (n - 2,) * (n - 2 * i)))))
-    return _finish(ClosedFormRecord(
+    base = _derived(n, sorted((2,) + (n - 3,) * i + (n - 2,) * (n - 2 * i)),
+                    "p2s closed form")
+    return ClosedFormRecord(
         family="p2s", n=n, base=base,
         degree=comb(n - i, 2) + i - 1,
         genus=comb(n - i - 2, 2),
         directrix_degree=n - i - 1,
-    ))
+        degenerate=not is_nondegenerate(base),
+    )
 
 
 def p3s(n: int, j: int, i: int) -> ClosedFormRecord:
@@ -102,14 +87,16 @@ def p3s(n: int, j: int, i: int) -> ClosedFormRecord:
     if not 0 <= 2 * i <= n + 1 - 3 * j:
         raise ValueError(f"need 0 <= i <= (n+1-3j)/2, got i={i} for n={n}, j={j}")
     q = n - i - 2 * j
-    base = IncidenceBase._make((n, tuple(sorted(
-        (3,) + (n - 4,) * j + (n - 3,) * i + (n - 2,) * (n + 1 - 3 * j - 2 * i)))))
-    return _finish(ClosedFormRecord(
+    base = _derived(n, sorted(
+        (3,) + (n - 4,) * j + (n - 3,) * i + (n - 2,) * (n + 1 - 3 * j - 2 * i)),
+        "p3s closed form")
+    return ClosedFormRecord(
         family="p3s", n=n, base=base,
         degree=comb(q + 1, 3) - q + (i + j) * q + j - 1,
         genus=comb(q, 3) + comb(q - 1, 3) - 2 * q + (i + j) * (q - 2) + 4,
         directrix_degree=comb(q, 2) + i + j - 1,
-    ))
+        degenerate=not is_nondegenerate(base),
+    )
 
 
 TableRow = namedtuple(

@@ -13,6 +13,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
+# degree, kappa and directrix_degree build their keys sorted from a canonical
+# base and call the memo behind intersection_number, grassmann._point_coefficient,
+# by module attribute, so every check sees a patched kernel
 from . import grassmann
 from .bases import (
     IncidenceBase,
@@ -25,12 +28,6 @@ from .bases import (
 )
 
 
-def _kernel(n: int, hs: tuple[int, ...]) -> int:
-    # intersection_number without its sort, on a key built sorted from a
-    # canonical base; looked up per call, so the checks see a patched kernel
-    return grassmann._point_coefficient(n, hs)
-
-
 def degree(base: IncidenceBase) -> int:
     """Degree of the scroll: the number of its generators meeting a hyperplane.
 
@@ -40,7 +37,7 @@ def degree(base: IncidenceBase) -> int:
     as well; the product does not care where the scroll actually spans.
     """
     n, dims = base
-    return _kernel(n, dims + (n - 2,))
+    return grassmann._point_coefficient(n, dims + (n - 2,))
 
 
 def kappa(parts: JoinResult) -> int:
@@ -54,7 +51,7 @@ def kappa(parts: JoinResult) -> int:
     (n, dims), _, m = parts
     key = [d - 1 for d in dims]
     key[bisect_right(dims, m) - 1] = m  # the last P^m: the key stays sorted
-    value = _kernel(n - 1, tuple(key))
+    value = grassmann._point_coefficient(n - 1, tuple(key))
     if value < 1:
         raise InvariantError(f"kappa must be positive, got {value}")
     return value
@@ -172,7 +169,7 @@ def directrix_degree(base: IncidenceBase, which: int) -> int:
     if a == 0:
         raise ValueError("a point carries no directrix curve")
     first = bisect_left(dims, a)  # every space of dimension a gives this key
-    return _kernel(n, dims[:first] + (a - 1,) + dims[first + 1:])
+    return grassmann._point_coefficient(n, dims[:first] + (a - 1,) + dims[first + 1:])
 
 
 def speciality(n: int, d: int, g: int) -> int:

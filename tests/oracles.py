@@ -4,6 +4,18 @@ from incidence_scrolls.bases import IncidenceBase
 from incidence_scrolls.grassmann import intersection_number
 
 
+def parse_base(text):
+    """Inverse of `format_base`: "n=6 dims=2,3,3,4,4" back to its IncidenceBase."""
+    try:
+        n_part, dims_part = text.split()
+        ambient = int(n_part.removeprefix("n="))
+        body = dims_part.removeprefix("dims=")
+        dims = tuple(int(d) for d in body.split(",")) if body else ()
+    except (ValueError, AttributeError) as exc:
+        raise ValueError(f"cannot parse base {text!r}") from exc
+    return IncidenceBase(ambient, dims)
+
+
 def pieri_fold(n, hs):
     """Product of special classes on G(1, n) by Pieri's rule, as {(a0, a1): coeff}.
 

@@ -12,11 +12,10 @@ from incidence_scrolls.bases import (
     format_base,
     is_nondegenerate,
     join,
-    parse_base,
     restrict_to_span,
     satisfies_is,
 )
-from oracles import separate
+from oracles import parse_base, separate
 
 
 def B(ambient, *dims):

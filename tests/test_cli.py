@@ -630,8 +630,9 @@ class TestStartup:
 
     def test_import_skips_unneeded_modules(self):
         # every process pays for what `import incidence_scrolls.cli` loads;
-        # closed_forms is imported by `table` alone
-        unneeded = ["ast", "dataclasses", "incidence_scrolls.closed_forms", "inspect"]
+        # closed_forms is imported by `table` alone, csv by `--format csv` alone
+        unneeded = ["ast", "csv", "dataclasses", "incidence_scrolls.closed_forms",
+                    "inspect"]
         assert self.loaded_after_import("incidence_scrolls.cli", unneeded) == "[]\n"
 
     def test_closed_forms_skips_unneeded_modules(self):

@@ -75,18 +75,20 @@ def runs_of_equal_factors(draw, max_n=40):
     return n, hs
 
 
-def kernel_keys(monkeypatch, bases):
+def kernel_keys(bases):
     """The distinct (n, sorted hs) keys that classifying `bases` asks the kernel for."""
     keys = set()
+    kernel = grassmann._point_coefficient
 
     def recording(ambient, hs):
         hs = tuple(sorted(hs))
         keys.add((ambient, hs))
-        return intersection_number(ambient, hs)
+        return kernel(ambient, hs)
 
-    monkeypatch.setattr(invariants, "_kernel", recording)
-    for base in bases:
-        classify(base)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grassmann, "_point_coefficient", recording)
+        for base in bases:
+            classify(base)
     return keys
 
 
@@ -327,17 +329,17 @@ class TestKernelMemo:
         assert (info.misses, info.hits) == (2325, 3790)
 
     @pytest.mark.parametrize("n", range(3, 14))
-    def test_every_sweep_key_matches_the_fold(self, n, monkeypatch):
-        keys = kernel_keys(monkeypatch, enumerate_bases(n))
+    def test_every_sweep_key_matches_the_fold(self, n):
+        keys = kernel_keys(enumerate_bases(n))
         assert keys
         for key in keys:
             assert intersection_number(*key) == pieri_fold(*key).get((0, 1), 0)
 
-    def test_every_line_family_key_matches_the_fold(self, monkeypatch):
+    def test_every_line_family_key_matches_the_fold(self):
         # {P^1, (n-1) P^(n-2)}: about n codim-1 factors per key, so one long
         # run of equal h and slots about n bits wide
         n = 300
-        keys = kernel_keys(monkeypatch, [IncidenceBase(n, (1,) + (n - 2,) * (n - 1))])
+        keys = kernel_keys([IncidenceBase(n, (1,) + (n - 2,) * (n - 1))])
         assert len(keys) > n
         for key in keys:
             assert intersection_number(*key) == pieri_fold(*key).get((0, 1), 0)
@@ -363,16 +365,16 @@ class TestKernelMemo:
 
     def test_one_cache_serves_every_caller(self, monkeypatch):
         asked = defaultdict(set)  # caller name -> keys it asked for
+        kernel = grassmann._point_coefficient
 
         def recording(n, hs):
-            hs = list(hs)
             asked[sys._getframe(1).f_code.co_name].add((n, tuple(sorted(hs))))
-            return intersection_number(n, hs)
+            return kernel(n, hs)
 
-        monkeypatch.setattr(invariants, "_kernel", recording)
+        monkeypatch.setattr(grassmann, "_point_coefficient", recording)
         for base in enumerate_bases(8):
             classify(base)
-        info = grassmann._point_coefficient.cache_info()
+        info = kernel.cache_info()
         assert info.hits > 0
         assert set(asked) == {"degree", "directrix_degree", "kappa"}
         keys = set().union(*asked.values())

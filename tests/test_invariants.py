@@ -9,14 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import incidence_scrolls
-from incidence_scrolls import invariants
+from incidence_scrolls import grassmann, invariants
 from incidence_scrolls.bases import (
     IncidenceBase,
     enumerate_bases,
     format_base,
     is_nondegenerate,
     join,
-    parse_base,
     restrict_to_span,
     satisfies_is,
 )
@@ -31,7 +30,7 @@ from incidence_scrolls.invariants import (
     node_table,
     speciality,
 )
-from oracles import adjunction_genus, k_theory_genus, pieri_fold, separate
+from oracles import adjunction_genus, k_theory_genus, parse_base, pieri_fold, separate
 
 
 def B(ambient, *dims):
@@ -420,16 +419,16 @@ class TestEngineSeams:
 
 
 def sent_keys(steps):
-    """Every (n, hs) that running `steps` sends to the engine's kernel seam."""
+    """Every (n, hs) that running `steps` sends to the engine's kernel memo."""
     sent = []
-    kernel = invariants._kernel
+    kernel = grassmann._point_coefficient
 
     def recording(n, hs):
         sent.append((n, hs))
         return kernel(n, hs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(invariants, "_kernel", recording)
+        patch.setattr(grassmann, "_point_coefficient", recording)
         steps()
     return sent
 
@@ -609,7 +608,7 @@ print("debug", __debug__)
 # the inputs are built first: the constructor checks the 2n-3 condition too
 seven_solids = IncidenceBase(5, (3,) * 7)
 degenerate = IncidenceBase(6, (2, 2, 3, 4))
-bases.satisfies_is = closed_forms.satisfies_is = lambda base: False
+bases.satisfies_is = lambda base: False
 steps = [
     lambda: bases.join(seven_solids, 0, 1),
     lambda: bases.restrict_to_span(degenerate),
@@ -620,6 +619,22 @@ for step in steps:
         step()
     except InvariantError as exc:
         print("InvariantError:", exc)
+"""
+
+
+SECOND_JOIN_CHECK = """
+from incidence_scrolls import bases
+from incidence_scrolls.bases import IncidenceBase, InvariantError
+
+print("debug", __debug__)
+seven_solids = IncidenceBase(5, (3,) * 7)
+is_base = bases.satisfies_is
+# the first component of the join stays in P^5, the second lies in P^4
+bases.satisfies_is = lambda base: base.ambient != 4 and is_base(base)
+try:
+    bases.join(seven_solids, 0, 1)
+except InvariantError as exc:
+    print("InvariantError:", exc)
 """
 
 
@@ -666,7 +681,7 @@ class TestCrossChecks:
         ]
 
     def test_kappa_must_be_positive(self, monkeypatch):
-        monkeypatch.setattr(invariants, "_kernel", lambda n, hs: 0)
+        monkeypatch.setattr(grassmann, "_point_coefficient", lambda n, hs: 0)
         base = B(5, 3, 3, 3, 3, 3, 3, 3)
         for step in (lambda: kappa(join(base, 0, 1)), lambda: degeneration_tree(base),
                      lambda: classify(base)):
@@ -707,8 +722,15 @@ class TestCrossChecks:
             "not an incidence-scroll base",
             "InvariantError: restrict_to_span produced n=5 dims=2,2,2,3, "
             "which is not an incidence-scroll base",
-            "InvariantError: p1s closed form built n=4 dims=1,2,2,2, which "
+            "InvariantError: p1s closed form produced n=4 dims=1,2,2,2, which "
             "is not an incidence-scroll base",
+        ]
+
+    def test_second_join_component_is_checked_under_optimize(self):
+        assert run_optimized(SECOND_JOIN_CHECK) == [
+            "debug False",
+            "InvariantError: join produced n=4 dims=2,2,2,2,2, which is not an "
+            "incidence-scroll base",
         ]
 
 

@@ -12,7 +12,7 @@ from .bases import (
     restrict_to_span,
     satisfies_is,
 )
-from .grassmann import intersection_number, product_of_specials, render
+from .grassmann import product_of_specials, render
 from .invariants import (
     DegenerationNode,
     ScrollReport,
@@ -26,7 +26,7 @@ from .invariants import (
 )
 
 __all__ = [
-    "intersection_number", "product_of_specials", "render",
+    "product_of_specials", "render",
     "IncidenceBase", "InvariantError", "JoinResult",
     "conditions_count", "enumerate_bases", "format_base",
     "is_nondegenerate", "join", "restrict_to_span", "satisfies_is",

@@ -92,7 +92,8 @@ def _report_row(report: ScrollReport) -> dict:
         "genus": report.genus,
         "h1": report.h1,
         "special": report.special,
-        "directrix": "; ".join(f"C^{d}_{g} in P^{a}" for a, d, g in report.directrix),
+        "directrix": "; ".join(f"C^{d}_{report.genus} in P^{a}"
+                               for a, d in report.directrix),
     }
 
 
@@ -165,9 +166,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     for table_row in closed_forms.table(args.id):
         record = table_row.record
         report = classify(record.base)
-        directrix_map = {a: d for a, d, _ in report.directrix}
         fixed_dim = {"p1s": 1, "p2s": 2, "p3s": 3}[record.family]
-        engine_dir = directrix_map.get(fixed_dim)
+        engine_dir = dict(report.directrix).get(fixed_dim)
         problems = []
         if (report.degree, report.genus) != (table_row.printed_degree,
                                              table_row.printed_genus):

@@ -16,46 +16,31 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .bases import _derived, is_nondegenerate
+from .bases import _derived
 
 
 ClosedFormRecord = namedtuple(
-    "ClosedFormRecord",
-    "family n base degree genus directrix_degree extras degenerate",
-    defaults=(None, False))
+    "ClosedFormRecord", "family base degree genus directrix_degree")
 ClosedFormRecord.__doc__ = """Closed-form invariants of one family member.
 
-family is "p1s", "p2s" or "p3s"; extras holds the Table-1 columns of the
-line family and is None for the others."""
+family is "p1s", "p2s" or "p3s"; the ambient is base.ambient, and the base
+is degenerate (its scroll spans less) when `is_nondegenerate(base)` fails."""
 
 
 def p1s(n: int) -> ClosedFormRecord:
-    """Scroll with a directrix line: the rational normal scroll of degree n-1.
-
-    Extras carry the Table-1 columns: the invariant e of the normalized
-    ruled surface, the degree of the twisting divisor of the embedding, and
-    the number of minimum directrix curves (None means infinitely many).
-    """
+    """Scroll with a directrix line: the rational normal scroll of degree n-1."""
     if n < 3:
         raise ValueError(f"line family needs n >= 3, got {n}")
     base = _derived(n, (1,) + (n - 2,) * (n - 1), "p1s closed form")
     return ClosedFormRecord(
-        family="p1s", n=n, base=base,
-        degree=n - 1, genus=0, directrix_degree=1,
-        extras={
-            "e": max(n - 3, 0),
-            "deg_b": n - 2,
-            "min_directrix_count": None if n == 3 else 1,
-        },
-        degenerate=not is_nondegenerate(base),
-    )
+        family="p1s", base=base, degree=n - 1, genus=0, directrix_degree=1)
 
 
 def p2s(n: int, i: int) -> ClosedFormRecord:
     """Scroll with a base plane, i spaces of dimension n-3 in the base.
 
     Degree C(n-i,2)+i-1, genus C(n-i-2,2), plane directrix of degree n-i-1.
-    Degenerate corners (e.g. n=4, i=2) are flagged.
+    Some corners are degenerate (e.g. n=4, i=2, whose scroll spans a P^3).
     """
     if n < 4:
         raise ValueError(f"plane family needs n >= 4, got {n}")
@@ -64,11 +49,10 @@ def p2s(n: int, i: int) -> ClosedFormRecord:
     base = _derived(n, sorted((2,) + (n - 3,) * i + (n - 2,) * (n - 2 * i)),
                     "p2s closed form")
     return ClosedFormRecord(
-        family="p2s", n=n, base=base,
+        family="p2s", base=base,
         degree=comb(n - i, 2) + i - 1,
         genus=comb(n - i - 2, 2),
         directrix_degree=n - i - 1,
-        degenerate=not is_nondegenerate(base),
     )
 
 
@@ -91,11 +75,10 @@ def p3s(n: int, j: int, i: int) -> ClosedFormRecord:
         (3,) + (n - 4,) * j + (n - 3,) * i + (n - 2,) * (n + 1 - 3 * j - 2 * i)),
         "p3s closed form")
     return ClosedFormRecord(
-        family="p3s", n=n, base=base,
+        family="p3s", base=base,
         degree=comb(q + 1, 3) - q + (i + j) * q + j - 1,
         genus=comb(q, 3) + comb(q - 1, 3) - 2 * q + (i + j) * (q - 2) + 4,
         directrix_degree=comb(q, 2) + i + j - 1,
-        degenerate=not is_nondegenerate(base),
     )
 
 

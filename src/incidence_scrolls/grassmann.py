@@ -60,17 +60,13 @@ def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]
             if (coeff := slot(l) - (l and slot(l - 1)))}
 
 
-def intersection_number(n: int, hs: Iterable[int]) -> int:
-    """Coefficient K_{(n-1,n-1), c} of the point class w(0, 1) in a product
-    of total codimension 2(n-1); memoized on n and the sorted hs.
-    """
-    return _point_coefficient(n, tuple(sorted(hs)))
-
-
 @functools.cache
 def _point_coefficient(n: int, hs: tuple[int, ...]) -> int:
-    # intersection_number of a sorted hs, which the engine calls directly;
-    # an exception is never cached, so invalid input raises on every call
+    """Coefficient K_{(n-1,n-1), c} of the point class w(0, 1) in a product
+    of total codimension 2(n-1), the intersection number of the special
+    classes of the sorted hs; memoized on (n, hs).  An exception is never
+    cached, so invalid input raises on every call.
+    """
     total = (n - 1) * len(hs) - sum(hs)
     if total != 2 * (n - 1):
         raise ValueError(

@@ -10,12 +10,12 @@ whose repeated sub-bases are shared, and checks the genus by adjunction.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 
 # degree, kappa and directrix_degree build their keys sorted from a canonical
-# base and call the memo behind intersection_number, grassmann._point_coefficient,
-# by module attribute, so every check sees a patched kernel
+# base and call the kernel memo grassmann._point_coefficient by module
+# attribute, so every check sees a patched kernel
 from . import grassmann
 from .bases import (
     IncidenceBase,
@@ -58,10 +58,11 @@ def kappa(parts: JoinResult) -> int:
 
 
 DegenerationNode = namedtuple(
-    "DegenerationNode", "base action degree genus pair m kappa children",
-    defaults=(None, None, None, ()))
+    "DegenerationNode", "base action degree genus m kappa children",
+    defaults=(None, None, ()))
 DegenerationNode.__doc__ = """One step of the genus recursion, with exact degree/genus
-bookkeeping; action is "leaf", "restrict" or "join", pair the joined dimensions."""
+bookkeeping; action is "leaf", "restrict" or "join".  A join joins the two
+smallest spaces of its base, base.dims[:2], which meet in a P^m."""
 
 
 def _tree(base: IncidenceBase):
@@ -89,7 +90,7 @@ def _tree(base: IncidenceBase):
     ddot = yield parts.ddot
     return DegenerationNode(base, "join", dot.degree + ddot.degree,
                             dot.genus + ddot.genus + shared - 1,
-                            base.dims[:2], parts.m, shared, (dot, ddot))
+                            parts.m, shared, (dot, ddot))
 
 
 _nodes: dict[IncidenceBase, DegenerationNode] = {}
@@ -147,7 +148,7 @@ def node_table(root: DegenerationNode) -> dict:
                "action": node.action, "degree": node.degree,
                "genus": node.genus}
         if node.action == "join":
-            row["pair"] = list(node.pair)
+            row["pair"] = list(node.base.dims[:2])
             row["m"] = node.m
             row["kappa"] = node.kappa
         row["children"] = [ids[child.base] for child in node.children]
@@ -156,19 +157,19 @@ def node_table(root: DegenerationNode) -> dict:
     return {"root": ids[root.base], "nodes": nodes}
 
 
-def directrix_degree(base: IncidenceBase, which: int) -> int:
-    """Degree of the curve the scroll cuts on base space number `which`.
+def directrix_degree(base: IncidenceBase, a: int) -> int:
+    """Degree of the curve the scroll cuts on each base space of dimension `a`.
 
-    Lower the chosen space's special cycle by one and intersect: the count
-    of generators meeting a generic hyperplane trace of that space.
+    Lower one such space's special cycle by one and intersect: the count of
+    generators meeting a generic hyperplane trace of that space.  Every
+    space of dimension a gives the same sorted key.
     """
     n, dims = base
-    if not 0 <= which < len(dims):
-        raise ValueError(f"space {which} is not a space of {format_base(base)}")
-    a = dims[which]
+    if a not in dims:
+        raise ValueError(f"no space of {format_base(base)} has dimension {a}")
     if a == 0:
         raise ValueError("a point carries no directrix curve")
-    first = bisect_left(dims, a)  # every space of dimension a gives this key
+    first = dims.index(a)
     return grassmann._point_coefficient(n, dims[:first] + (a - 1,) + dims[first + 1:])
 
 
@@ -187,14 +188,21 @@ def speciality(n: int, d: int, g: int) -> int:
 
 
 class ScrollReport(namedtuple(
-        "ScrollReport", "base span degree genus h1 special directrix")):
+        "ScrollReport", "base span degree genus h1 directrix")):
     """Full classification record of the incidence scroll of one base.
 
-    directrix holds (space_dim, curve_degree, curve_genus) triples; the
-    witness that checked the degree is `degeneration_tree(base)`.
+    directrix holds one (space_dim, curve_degree) pair per distinct nonzero
+    dimension of the spanning base, in increasing order; a directrix curve
+    is a section of the scroll, so its genus is `genus`.  The witness that
+    checked the degree is `degeneration_tree(base)`.
     """
 
     __slots__ = ()
+
+    @property
+    def special(self) -> bool:
+        """The scroll is special: h1 > 0."""
+        return self.h1 > 0
 
     def to_dict(self) -> dict:
         return {
@@ -206,8 +214,8 @@ class ScrollReport(namedtuple(
             "h1": self.h1,
             "special": self.special,
             "directrix": [
-                {"space_dim": a, "curve_degree": d, "curve_genus": g}
-                for a, d, g in self.directrix
+                {"space_dim": a, "curve_degree": d, "curve_genus": self.genus}
+                for a, d in self.directrix
             ],
         }
 
@@ -233,12 +241,11 @@ def classify(base: IncidenceBase) -> ScrollReport:
         a = effective[start]
         end = bisect_right(effective, a, start)
         if a:
-            e = directrix_degree(restricted, start)
-            directrix.append((a, e, g))
+            e = directrix_degree(restricted, a)
+            directrix.append((a, e))
             twice += (end - start) * (span - 2 - a) * e
         start = end
     if twice != 2 * g - 2:
         raise InvariantError(f"adjunction gives 2g - 2 = {twice}, not the degeneration "
                              f"genus {g}, for {format_base(base)}")
-    h1 = speciality(span, d, g)
-    return ScrollReport(base, span, d, g, h1, h1 > 0, tuple(directrix))
+    return ScrollReport(base, span, d, g, speciality(span, d, g), tuple(directrix))

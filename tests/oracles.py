@@ -1,7 +1,34 @@
 """Helpers shared by the test modules that the package itself does not need."""
 
+from hypothesis import strategies as st
+
+from incidence_scrolls import grassmann
 from incidence_scrolls.bases import IncidenceBase
-from incidence_scrolls.grassmann import intersection_number
+
+
+def B(ambient, *dims):
+    return IncidenceBase(ambient, dims)
+
+
+@st.composite
+def random_bases(draw, max_n=20):
+    """A base of P^n, n <= max_n, built one space at a time from its cost."""
+    n = draw(st.integers(3, max_n))
+    remaining = 2 * n - 3
+    dims = []
+    while remaining:
+        d = draw(st.integers(max(0, n - 1 - remaining), n - 2))
+        dims.append(d)
+        remaining -= n - 1 - d
+    return IncidenceBase(n, tuple(dims))
+
+
+def point_coefficient(n, hs):
+    """The kernel memo `grassmann._point_coefficient` on hs in any order.
+
+    The memo is looked up at call time, so a patched kernel is seen here too.
+    """
+    return grassmann._point_coefficient(n, tuple(sorted(hs)))
 
 
 def parse_base(text):
@@ -60,10 +87,10 @@ def adjunction_genus(base):
     intersection number with h_j lowered by one (0 for a point).
     """
     n, dims = base
-    total = (len(dims) - n - 1) * intersection_number(n, dims + (n - 2,))
+    total = (len(dims) - n - 1) * point_coefficient(n, dims + (n - 2,))
     for j, h in enumerate(dims):
         if h:
-            e = intersection_number(n, dims[:j] + (h - 1,) + dims[j + 1:])
+            e = point_coefficient(n, dims[:j] + (h - 1,) + dims[j + 1:])
             total += (n - 2 - h) * e
     assert total % 2 == 0, (base, total)
     return total // 2 + 1

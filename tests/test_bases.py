@@ -3,7 +3,6 @@ import re
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from incidence_scrolls.bases import (
     IncidenceBase,
@@ -15,24 +14,7 @@ from incidence_scrolls.bases import (
     restrict_to_span,
     satisfies_is,
 )
-from oracles import parse_base, separate
-
-
-def B(ambient, *dims):
-    return IncidenceBase(ambient, dims)
-
-
-@st.composite
-def random_bases(draw, max_n=20):
-    """A base of P^n, n <= max_n, built one space at a time from its cost."""
-    n = draw(st.integers(3, max_n))
-    remaining = 2 * n - 3
-    dims = []
-    while remaining:
-        d = draw(st.integers(max(0, n - 1 - remaining), n - 2))
-        dims.append(d)
-        remaining -= n - 1 - d
-    return IncidenceBase(n, tuple(dims))
+from oracles import B, parse_base, random_bases, separate
 
 
 def partition_count(total, largest):

@@ -3,13 +3,10 @@ import traceback
 
 import pytest
 
-from incidence_scrolls.bases import IncidenceBase, join, restrict_to_span
-from incidence_scrolls.closed_forms import p1s, p2s, p3s, table
+from incidence_scrolls.bases import is_nondegenerate, join, restrict_to_span
+from incidence_scrolls.closed_forms import ClosedFormRecord, p1s, p2s, p3s, table
 from incidence_scrolls.invariants import classify
-
-
-def B(ambient, *dims):
-    return IncidenceBase(ambient, dims)
+from oracles import B
 
 
 def plane_records(max_n):
@@ -29,10 +26,9 @@ def assert_engine_agrees(record):
     """Degree, genus and the fixed space's directrix degree match the engine."""
     report = classify(record.base)
     assert (report.degree, report.genus) == (record.degree, record.genus)
-    if not record.degenerate:
+    if is_nondegenerate(record.base):
         fixed_dim = {"p1s": 1, "p2s": 2, "p3s": 3}[record.family]
-        assert dict((a, d) for a, d, _ in report.directrix)[fixed_dim] == \
-            record.directrix_degree
+        assert dict(report.directrix)[fixed_dim] == record.directrix_degree
 
 
 class TestLineFamily:
@@ -43,15 +39,17 @@ class TestLineFamily:
         assert record.degree == n - 1
         assert record.genus == 0
         assert record.directrix_degree == 1
-        assert not record.degenerate
-
-    def test_extras(self):
-        assert p1s(3).extras == {"e": 0, "deg_b": 1, "min_directrix_count": None}
-        assert p1s(6).extras == {"e": 3, "deg_b": 4, "min_directrix_count": 1}
+        assert is_nondegenerate(record.base)
 
     def test_range(self):
         with pytest.raises(ValueError):
             p1s(2)
+
+
+def test_record_stores_no_derived_field():
+    # the ambient is base.ambient, and degeneracy is is_nondegenerate(base)
+    assert ClosedFormRecord._fields == (
+        "family", "base", "degree", "genus", "directrix_degree")
 
 
 class TestPlaneFamily:
@@ -81,7 +79,7 @@ class TestPlaneFamily:
 
     def test_degenerate_corner(self):
         record = p2s(4, 2)
-        assert record.degenerate
+        assert not is_nondegenerate(record.base)
         assert record.base == B(4, 1, 1, 2)
         assert restrict_to_span(record.base) == B(3, 1, 1, 1)
         assert (record.degree, record.genus) == (2, 0)
@@ -168,7 +166,7 @@ class TestTables:
     def test_table1_families(self):
         for row, n in zip(table(1), range(3, 10)):
             assert row.record.family == "p1s"
-            assert row.record.n == n
+            assert row.record.base.ambient == n
             assert not row.star
 
     def test_table2_stars(self):

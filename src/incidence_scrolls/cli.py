@@ -48,33 +48,15 @@ from .invariants import (
 )
 
 
-def _json_rows(rows: list[dict]) -> str:
-    """json.dumps(rows, indent=2) for rows of str, int and bool values, written by
-    the C encoder, which json uses only without `indent`.
-
-    The encoder puts the item separator between the rows and between the items
-    of a row; the seams are then fixed up as text.  An encoded string never
-    holds a raw newline and a row holds no container, so a raw "},\n    {"
-    can only join two rows.
-    """
-    if not rows:
-        return "[]"
-    text = json.dumps(rows, separators=(",\n    ", ": "))[2:-2]
-    return ("[\n  {\n    " + text.replace("},\n    {", "\n  },\n  {\n    ")
-            + "\n  }\n]").replace("{\n    \n  }", "{}")
-
-
 def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
     if fmt == "json":
-        return _json_rows(rows)
+        return json.dumps(rows, indent=2)
+    grid = [columns] + [[str(row[c]) for c in columns] for row in rows]
     if fmt == "csv":
         import csv  # only this format needs the module
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows(grid)
         return buf.getvalue().rstrip("\n")
-    grid = [columns] + [[str(row[c]) for c in columns] for row in rows]
     widths = [max(map(len, column)) for column in zip(*grid)]
     padded = [[cell.ljust(w) for cell, w in zip(line, widths)] for line in grid]
     if fmt == "md":
@@ -205,6 +187,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
+    if args.format not in ("text", "json"):
+        raise ValueError("product needs --format text or json")
     pair = _parse_dims(args.grassmann)
     if len(pair) != 2:
         raise ValueError(f"--grassmann must be l,n, got {args.grassmann!r}")
@@ -223,14 +207,18 @@ def cmd_product(args: argparse.Namespace) -> int:
     return 0
 
 
+COMMANDS = {"enumerate": cmd_enumerate, "analyze": cmd_analyze,
+            "table": cmd_table, "product": cmd_product}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scrolls",
         description="Classify incidence scrolls in projective n-space.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, choices=("text", "json", "csv", "md")):
-        p.add_argument("--format", choices=choices, default="text")
+    def add_common(p):
+        p.add_argument("--format", choices=("text", "json", "csv", "md"), default="text")
 
     p_enum = sub.add_parser("enumerate", help="list and classify all bases in P^n")
     p_enum.add_argument("-n", "--ambient", type=int, required=True)
@@ -240,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--force", action="store_true",
                         help="accepted and ignored: enumerate has no ambient cap")
     add_common(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate)
 
     p_analyze = sub.add_parser("analyze", help="classify one base")
     p_analyze.add_argument("-n", "--ambient", type=int, required=True)
@@ -249,28 +236,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--tree", action="store_true",
                            help="include the degeneration witness")
     add_common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_table = sub.add_parser("table", help="reproduce a published table")
-    p_table.add_argument("--id", type=int, choices=[1, 2, 3], required=True)
+    p_table.add_argument("--id", type=int, required=True, metavar="{1,2,3}")
     add_common(p_table)
-    p_table.set_defaults(func=cmd_table)
 
     p_product = sub.add_parser("product", help="multiply special Schubert cycles")
     p_product.add_argument("--grassmann", required=True,
                            help="1,n for lines in P^n, e.g. 1,5")
     p_product.add_argument("--specials", required=True,
                            help="comma-separated special parameters")
-    add_common(p_product, ("text", "json"))
-    p_product.set_defaults(func=cmd_product)
+    p_product.add_argument("--format", default="text", metavar="{text,json}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        return args.func(args)
+        # argparse's wording of an invalid choice differs between CPython releases
+        if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
+            raise ValueError(f"unknown command {argv[0]!r}, choose from "
+                             + ", ".join(COMMANDS))
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command](args)
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

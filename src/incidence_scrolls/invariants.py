@@ -230,7 +230,10 @@ def classify(base: IncidenceBase) -> ScrollReport:
             f"for {format_base(base)}")
     g = node.genus
 
-    restricted = restrict_to_span(base)
+    # the witness restricted a degenerate point-free root; a leaf with two or
+    # more spaces is degenerate too, and a join root is its own restriction
+    restricted = (node.children[0].base if node.action == "restrict"
+                  else restrict_to_span(base))
     span, effective = restricted
     # adjunction on the curve of lines of r spaces in P^s, e_a the directrix
     # degree: 2g - 2 = (r - s - 1) d + sum over the spaces of (s - 2 - a) e_a,

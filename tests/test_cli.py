@@ -11,20 +11,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incidence_scrolls
 from incidence_scrolls import cli, invariants
 from incidence_scrolls.cli import _render_rows, main
+from golden_replay import GOLDEN, replay
 
 
 ROOT = Path(__file__).resolve().parents[1]
-README = ROOT / "README.md"
-# command line -> sha256 of stdout, stderr text and exit code, pinned from
-# `run` below with COLUMNS=80, which sets the width of argparse's messages;
-# a change that alters output edits only the entries it alters
-GOLDEN = json.loads((ROOT / "tests" / "golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -159,28 +155,6 @@ class TestEnumerate:
         assert first == second
 
 
-# strings with what json escapes (quotes, backslashes, control and non-ASCII
-# characters, a lone surrogate), ints past 64 bits and bools (an int subclass)
-json_strings = st.text(st.one_of(
-    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800é€\U0001f600'),
-    st.characters()))
-json_scalars = st.one_of(
-    json_strings, st.booleans(), st.integers(),
-    st.integers(-2 ** 70, 2 ** 70), st.sampled_from([2 ** 64, -2 ** 64 - 1]))
-
-
-class TestJsonRows:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.dictionaries(json_strings, json_scalars, max_size=8), max_size=6))
-    @example([])
-    @example([{"%": 1, "%s": "%s", "a%%b": "%d%%"}, {"%s%": True}])
-    @example([{"a": 1, "b": "x"}, {"b": "y", "a": 2}, {"a": 3}, {"a": 4, "b": "z"}])
-    @example([{"a": 1}, {}, {"a": 2}])
-    def test_equals_json_dumps(self, rows):
-        columns = list(rows[0]) if rows else ["base"]
-        assert _render_rows(rows, columns, "json") == json.dumps(rows, indent=2)
-
-
 # cells of every type a row holds, without a line break: text and md lines
 # end at "\n", and a csv with lineterminator "\n" leaves a lone "\r" unquoted
 grid_cells = st.one_of(st.text(st.characters(blacklist_characters="\r\n")),
@@ -248,11 +222,8 @@ class TestGoldenStdout:
 
 class TestGoldenCorpus:
     @pytest.mark.parametrize("command", GOLDEN, ids=command_id)
-    def test_in_process(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("COLUMNS", "80")
-        code, out, err = run(capsys, *command.split())
-        assert {"stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
-                "stderr": err, "exit": code} == GOLDEN[command]
+    def test_in_process(self, command):
+        assert replay(command) == GOLDEN[command]
 
     # each output format and exit path, the largest outputs, ended by cli.run
     # with stdout block-buffered, once into a pipe and once into a file
@@ -335,16 +306,6 @@ class TestAnalyze:
         assert [line.split()[:2] for line in lines] == \
             [[f"#{row['id']}", row["action"]] for row in table["nodes"]]
 
-    def test_readme_witness_example(self, capsys):
-        command = "scrolls analyze -n 6 --base 2,3,3,4,4 --tree"
-        shown = re.search(re.escape(command) + r"\n```\n\n```text\n(.*?)\n```",
-                          README.read_text(), re.S)
-        assert shown, f"README shows no output block after {command!r}"
-        code, out, _ = run(capsys, *command.split()[1:])
-        assert code == 0
-        assert [line.rstrip() for line in out.splitlines()] == \
-            [line.rstrip() for line in shown.group(1).splitlines()]
-
     @pytest.mark.parametrize("fmt", ["csv", "md"])
     def test_tree_needs_text_or_json(self, capsys, fmt):
         # the witness lines would not parse as a csv or markdown table
@@ -426,13 +387,9 @@ class TestProduct:
 
     @pytest.mark.parametrize("fmt", ["csv", "md"])
     def test_only_text_or_json(self, capsys, fmt):
-        with pytest.raises(SystemExit) as exc:
-            main(["product", "--grassmann", "1,5", "--specials", "2,3,3,3,3,3,3",
-                  "--format", fmt])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"argument --format: invalid choice: '{fmt}'" in err
+        assert run(capsys, "product", "--grassmann", "1,5", "--specials",
+                   "2,3,3,3,3,3,3", "--format", fmt) == \
+            (2, "", "error: product needs --format text or json\n")
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "product", "--grassmann", "1,4",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incidence_scrolls import grassmann, invariants
+from incidence_scrolls import bases, grassmann, invariants
 from incidence_scrolls.bases import IncidenceBase, enumerate_bases
 from incidence_scrolls.grassmann import product_of_specials, render
 from incidence_scrolls.invariants import classify, degeneration_tree, node_table
@@ -319,6 +319,20 @@ class TestKernelMemo:
                 classify(base)
         info = grassmann._point_coefficient.cache_info()
         assert (info.misses, info.hits) == (2325, 3790)
+
+    def test_restrictions_of_the_sweep(self, monkeypatch):
+        # classify reads a restrict root's restriction off its witness, so the
+        # sweep restricts each base once and derives each base once
+        calls = dict.fromkeys(["restrict_to_span", "_derived"], 0)
+        for module, name in [(invariants, "restrict_to_span"), (bases, "_derived")]:
+            def counted(*args, name=name, fn=getattr(module, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        for base in enumerate_bases(13):
+            if 0 not in base.dims:
+                classify(base)
+        assert calls == {"restrict_to_span": 1237, "_derived": 4179}
 
     @pytest.mark.parametrize("n", range(3, 14))
     def test_every_sweep_key_matches_the_fold(self, n):

@@ -11,6 +11,7 @@ base the package derives itself is made and checked by `_derived`.
 from __future__ import annotations
 
 import functools
+import operator
 from bisect import bisect_left
 from collections import namedtuple
 
@@ -31,15 +32,17 @@ class IncidenceBase(namedtuple("IncidenceBase", "ambient dims")):
     and the sorted dims of the base spaces, without hyperplanes (they impose
     no condition), imposing exactly 2n-3 conditions on lines.
 
-    The constructor raises ValueError on any other input.
+    The constructor stores plain ints and raises ValueError on any other
+    ambient or dimension.
     """
 
     __slots__ = ()
 
     def __new__(cls, ambient: int, dims) -> IncidenceBase:
+        ambient = _integer(ambient, "ambient projective dimension")
         if ambient < 2:
             raise ValueError(f"ambient projective dimension must be >= 2, got {ambient}")
-        dims = tuple(sorted(dims))
+        dims = tuple(sorted(_integer(d, "base space dimension") for d in dims))
         for d in dims:
             if not 0 <= d < ambient:
                 raise ValueError(f"base space dimension {d} out of range for P^{ambient}")
@@ -50,6 +53,15 @@ class IncidenceBase(namedtuple("IncidenceBase", "ambient dims")):
                 f"{format_base(base)} is not an incidence-scroll base: "
                 f"conditions={conditions_count(base)}, required {2 * ambient - 3}")
         return base
+
+
+def _integer(value, name: str) -> int:
+    """`value` as a plain int: operator.index takes any integer type, a bool
+    included, and refuses a float or a string."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def format_base(base: IncidenceBase) -> str:

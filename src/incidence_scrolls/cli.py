@@ -10,22 +10,26 @@ only `--format text` or `json`.
 Exit codes: 0 success, 2 invalid input, 4 a cross-check of the engine's
 results failed, such as the ring degree against the degeneration witness, the
 genus against adjunction or a join yielding a base that does not impose 2n-3
-conditions, 141 the reader of stdout exited before reading all the output, as
-in `scrolls ... | head` (the status a shell reports for a process killed by
-SIGPIPE).  The checks also run under python -O.
+conditions, 74 the output could not be written, as on a full disk, 141 the
+reader of stdout exited before reading all the output, as in `scrolls ... |
+head` (the status a shell reports for a process killed by SIGPIPE).  The
+checks also run under python -O.
 
-`main(argv)` is the in-process API that tests and tools call: it returns 0,
-2 or 4, and lets BrokenPipeError (the reader of stdout is gone) and
+Each `cmd_*` returns its whole output as one string and writes nothing.
+`main(argv)` is the in-process API that tests and tools call: it prints that
+string once and returns 0, or it returns 2 or 4, and it lets an OSError of
+that print, such as BrokenPipeError (the reader of stdout is gone), and
 argparse's SystemExit (`--help` and usage errors) through; it neither flushes
 nor touches a file descriptor.  `run()` is the process entry point of the
 `scrolls` script and of `python -m incidence_scrolls.cli`, and it alone ends
 the process: it calls `main`, takes the code of SystemExit, flushes stdout and
-stderr, turns a BrokenPipeError from either step into 141, and calls
-`os._exit`.  That skips the interpreter's teardown, which frees the witness,
-the kernel memo and every loaded module: about 8-10 ms per process on a
-2-vCPU x86-64 host (Python 3.11).  Nothing else is skipped, because the
-package writes only to stdout and stderr and registers no atexit handler;
-output added later, such as statistics or logging, must be flushed in `run`.
+stderr, turns a BrokenPipeError from either step into 141 and any other
+OSError into 74, and calls `os._exit`.  That skips the interpreter's
+teardown, which frees the witness, the kernel memo and every loaded module:
+about 8-10 ms per process on a 2-vCPU x86-64 host (Python 3.11).  Nothing
+else is skipped, because the package writes only to stdout and stderr and
+registers no atexit handler; output added later, such as statistics or
+logging, must be flushed in `run`.
 Uncaught exceptions and KeyboardInterrupt still reach the interpreter.
 """
 
@@ -79,6 +83,15 @@ def _report_row(report: ScrollReport) -> dict:
     }
 
 
+def _report_json(report: ScrollReport) -> dict:
+    (ambient, dims), genus = report.base, report.genus
+    return {"ambient": ambient, "dims": list(dims), "span": report.span,
+            "degree": report.degree, "genus": genus, "h1": report.h1,
+            "special": report.special,
+            "directrix": [{"space_dim": a, "curve_degree": d, "curve_genus": genus}
+                          for a, d in report.directrix]}
+
+
 REPORT_COLUMNS = ["base", "span", "degree", "genus", "h1", "special", "directrix"]
 
 
@@ -89,7 +102,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse dimension list {text!r}") from exc
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> str:
     bases = enumerate_bases(args.ambient,
                             nondegenerate_only=args.nondegenerate,
                             contains_dim=args.contains_dim)
@@ -99,8 +112,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     reports = [classify(base) for base in bases]
     if args.genus is not None:
         reports = [r for r in reports if r.genus == args.genus]
-    print(_render_rows([_report_row(r) for r in reports], REPORT_COLUMNS, args.format))
-    return 0
+    return _render_rows([_report_row(r) for r in reports], REPORT_COLUMNS, args.format)
 
 
 def _render_witness(table: dict) -> str:
@@ -117,7 +129,7 @@ def _render_witness(table: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> str:
     if args.tree and args.format in ("csv", "md"):
         # the witness lines would break the table's csv or markdown syntax
         raise ValueError("--tree needs --format text or json")
@@ -126,22 +138,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # the memoized witness that classify checked the ring degree against
     table = node_table(degeneration_tree(report.base)) if args.tree else None
     if args.format == "json":
-        out = report.to_dict()
+        out = _report_json(report)
         if table:
             out["tree"] = table
-        print(json.dumps(out, indent=2))
-    else:
-        print(_render_rows([_report_row(report)], REPORT_COLUMNS, args.format))
-        if table:
-            print(_render_witness(table))
-    return 0
+        return json.dumps(out, indent=2)
+    text = _render_rows([_report_row(report)], REPORT_COLUMNS, args.format)
+    return f"{text}\n{_render_witness(table)}" if table else text
 
 
 TABLE_COLUMNS = ["scroll", "base", "degree", "genus", "directrix", "star",
                  "engine", "status"]
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> str:
     from . import closed_forms  # only this command reads the table fixtures
     rows = []
     deviations = 0
@@ -180,13 +189,13 @@ def cmd_table(args: argparse.Namespace) -> int:
             "engine": engine,
             "status": status,
         })
-    print(_render_rows(rows, TABLE_COLUMNS, args.format))
+    text = _render_rows(rows, TABLE_COLUMNS, args.format)
     if deviations and args.format not in ("json", "csv"):
-        print(f"# {deviations} deviation(s) against the printed table")
-    return 0
+        text += f"\n# {deviations} deviation(s) against the printed table"
+    return text
 
 
-def cmd_product(args: argparse.Namespace) -> int:
+def cmd_product(args: argparse.Namespace) -> str:
     if args.format not in ("text", "json"):
         raise ValueError("product needs --format text or json")
     pair = _parse_dims(args.grassmann)
@@ -199,12 +208,10 @@ def cmd_product(args: argparse.Namespace) -> int:
     result = product_of_specials(n, _parse_dims(args.specials))
     text = render(result)
     if args.format == "json":
-        print(json.dumps({"grassmann": [l, n], "product": text}))
-    else:
-        print(text)
-        if list(result) == [(0, 1)]:
-            print(result[(0, 1)])
-    return 0
+        return json.dumps({"grassmann": [l, n], "product": text})
+    if list(result) == [(0, 1)]:
+        text += f"\n{result[(0, 1)]}"
+    return text
 
 
 COMMANDS = {"enumerate": cmd_enumerate, "analyze": cmd_analyze,
@@ -258,13 +265,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"unknown command {argv[0]!r}, choose from "
                              + ", ".join(COMMANDS))
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
-    except InvariantError as exc:
+        text = COMMANDS[args.command](args)
+    except (InvariantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, InvariantError) else 2
+    print(text)
+    return 0
 
 
 def run() -> None:
@@ -280,6 +286,13 @@ def run() -> None:
                 stream.flush()
     except BrokenPipeError:  # the reader of stdout exited early
         code = 141
+    except OSError as exc:  # any other failed write, such as a full disk
+        code = 74
+        try:
+            print(f"error: cannot write the output: {exc}", file=sys.stderr,
+                  flush=True)
+        except OSError:
+            pass
     os._exit(code)
 
 

@@ -204,21 +204,6 @@ class ScrollReport(namedtuple(
         """The scroll is special: h1 > 0."""
         return self.h1 > 0
 
-    def to_dict(self) -> dict:
-        return {
-            "ambient": self.base.ambient,
-            "dims": list(self.base.dims),
-            "span": self.span,
-            "degree": self.degree,
-            "genus": self.genus,
-            "h1": self.h1,
-            "special": self.special,
-            "directrix": [
-                {"space_dim": a, "curve_degree": d, "curve_genus": self.genus}
-                for a, d in self.directrix
-            ],
-        }
-
 
 def classify(base: IncidenceBase) -> ScrollReport:
     """Compute degree, genus, speciality and directrix table of a base."""

@@ -312,6 +312,22 @@ class TestCanonicalize:
             IncidenceBase(1, ())
         assert IncidenceBase(2, (0,)) == (2, (0,))
 
+    @pytest.mark.parametrize("ambient, dims, bad", [
+        (5, (3.0,) * 7, "base space dimension must be an integer, got 3.0"),
+        (5.0, (3,) * 7, "ambient projective dimension must be an integer, got 5.0"),
+        (3, "111", "base space dimension must be an integer, got '1'"),
+    ], ids=["float-dimension", "float-ambient", "string"])
+    def test_rejects_non_integers(self, ambient, dims, bad):
+        # a float would otherwise reach classify and fail there with AttributeError
+        with pytest.raises(ValueError, match="^" + re.escape(bad) + "$"):
+            IncidenceBase(ambient, dims)
+
+    def test_stores_plain_ints(self):
+        base = IncidenceBase(3, (True,) * 3)
+        assert base == (3, (1, 1, 1))
+        assert {type(d) for d in base.dims} == {int}
+        assert format_base(base) == "n=3 dims=1,1,1"
+
 
 class TestTextFormat:
     def test_format(self):

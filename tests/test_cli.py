@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import importlib
 import io
@@ -413,6 +414,25 @@ class TestProduct:
         assert err == f"error: --grassmann must be l,n, got {grassmann!r}\n"
 
 
+class TestCommands:
+    # one command line per command; a command added without one fails here
+    ARGV = {
+        "enumerate": ["enumerate", "-n", "5", "--format", "json"],
+        "analyze": ["analyze", "-n", "6", "--base", "2,3,3,4,4", "--tree"],
+        "table": ["table", "--id", "3"],
+        "product": ["product", "--grassmann", "1,5", "--specials", "2,3,3,3,3,3,3"],
+    }
+
+    @pytest.mark.parametrize("name", cli.COMMANDS)
+    def test_returns_its_text_and_writes_nothing(self, capsys, name):
+        argv = self.ARGV[name]
+        text = cli.COMMANDS[name](cli.build_parser().parse_args(argv))
+        assert isinstance(text, str)
+        assert capsys.readouterr() == ("", "")
+        # main prints it once
+        assert run(capsys, *argv) == (0, text + "\n", "")
+
+
 class TestExitCodes:
     def test_invariant_error(self, capsys, monkeypatch):
         ring_degree = invariants.degree
@@ -551,6 +571,23 @@ class TestProcessExit:
         os.close(write_end)
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (141, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("flags, env", [([], write_through_env),
+                                            ([], buffered_env),
+                                            (["-O"], buffered_env)],
+                             ids=["write-through", "buffered", "optimize"])
+    def test_failed_write_exits_74(self, flags, env):
+        # every write to /dev/full fails with ENOSPC: with write-through stdout
+        # in main's print, with buffered stdout in cli.run's flush
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "incidence_scrolls.cli",
+                 "enumerate", "-n", "12", "--format", "json"],
+                stdout=full, stderr=subprocess.PIPE, env=env(), timeout=120)
+        error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert (proc.returncode, proc.stderr.decode()) == \
+            (74, f"error: cannot write the output: {error}\n")
 
     def test_registers_no_atexit_handler(self):
         # os._exit in cli.run would skip it, and whatever it was to flush

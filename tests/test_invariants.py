@@ -19,6 +19,7 @@ from incidence_scrolls.bases import (
     restrict_to_span,
     satisfies_is,
 )
+from incidence_scrolls.cli import _report_json
 from incidence_scrolls.closed_forms import p1s
 from incidence_scrolls.invariants import (
     DegenerationNode,
@@ -534,14 +535,14 @@ class TestClassify:
             (without.degree, without.genus)
         assert with_hyperplane.base == without.base
 
-    def test_to_dict(self):
+    def test_report_json(self):
         base = B(4, 1, 2, 2, 2)
-        d = classify(base).to_dict()
+        d = _report_json(classify(base))
         assert d["dims"] == [1, 2, 2, 2]
         assert d["degree"] == 3 and d["h1"] == 0
         assert d["special"] is False
         # a directrix curve is a section of the scroll: it has the scroll's genus
-        assert classify(B(6, 2, 3, 3, 4, 4)).to_dict()["directrix"] == [
+        assert _report_json(classify(B(6, 2, 3, 3, 4, 4)))["directrix"] == [
             {"space_dim": a, "curve_degree": e, "curve_genus": 1}
             for a, e in ((2, 3), (3, 4), (4, 5))]
         assert "tree" not in d
@@ -565,10 +566,8 @@ class TestClassify:
         assert not hasattr(report, "tree")
         with pytest.raises(AttributeError):
             report.tree = degeneration_tree(report.base)
-        with pytest.raises(TypeError):
-            report.to_dict(True)
-        with pytest.raises(TypeError):
-            report.to_dict(include_tree=True)
+        # its json form is built by the command line that prints it
+        assert not hasattr(report, "to_dict")
 
     def test_speciality_consistency(self):
         # h1 recomputed from span/degree/genus on every base through P^7

@@ -103,39 +103,32 @@ def is_nondegenerate(base: IncidenceBase) -> bool:
 
 
 JoinResult = namedtuple("JoinResult", "dot ddot m")
-JoinResult.__doc__ = "Outcome of degenerating a pair of base spaces into a hyperplane."
+JoinResult.__doc__ = """The two components of `join(base)`, `dot` in the ambient and
+`ddot` in the hyperplane, and the dimension m of the joined pair's meet."""
 
 
-def _pair(n: int, dims: tuple[int, ...], i: int, j: int) -> tuple[int, int, int, tuple]:
-    """(d_i, d_j, m, the other dims) of a pair that can meet in a hyperplane."""
-    i, j = min(i, j), max(i, j)
-    if not 0 <= i < j < len(dims):
-        raise ValueError(
-            f"pair ({i}, {j}) is not two distinct spaces of {format_base((n, dims))}")
-    di, dj = dims[i], dims[j]
-    m = di + dj - n + 1
-    if m < 0:
-        raise ValueError(
-            f"P^{di} and P^{dj} already lie in a hyperplane of P^{n} generically")
-    others = dims[:i] + dims[i + 1:j] + dims[j + 1:]
-    if 0 in others:
-        raise ValueError("cannot push a point into the hyperplane")
-    return di, dj, m, others
-
-
-def join(base: IncidenceBase, i: int, j: int) -> JoinResult:
-    """Specialize base spaces i and j into a common hyperplane.
+def join(base: IncidenceBase) -> JoinResult:
+    """Specialize the two smallest base spaces, base.dims[:2], into a common
+    hyperplane.
 
     The scroll breaks into a component with base (pair replaced by their
     intersection P^m) in the same ambient, and a component inside the
-    hyperplane whose other spaces are cut down by one dimension.
+    hyperplane whose other spaces are cut down by one dimension.  As
+    d1 <= n - 2, m = d0 + d1 - n + 1 < d0 <= d2: P^m is the smallest space
+    of `dot`.  Raises ValueError on a base with fewer than two spaces or a
+    degenerate one (m < 0), as is every other base with a point.
     """
     n, dims = base
-    di, dj, m, others = _pair(n, dims, i, j)
-    k = bisect_left(others, m)  # others are sorted; keep them so
-    dot = _derived(n, others[:k] + (m,) + others[k:], "join")
-    return JoinResult(dot, _derived(
-        n - 1, sorted([d - 1 for d in others] + [di, dj]), "join"), m)
+    if len(dims) < 2:
+        raise ValueError(f"{format_base(base)} has fewer than two spaces to join")
+    d0, d1 = dims[:2]
+    m = d0 + d1 - n + 1
+    if m < 0:
+        raise ValueError(f"P^{d0} and P^{d1} of {format_base(base)} already lie "
+                         f"in a hyperplane of P^{n} generically")
+    others = dims[2:]
+    return JoinResult(_derived(n, (m,) + others, "join"), _derived(
+        n - 1, sorted([d - 1 for d in others] + [d0, d1]), "join"), m)
 
 
 def restrict_to_span(base: IncidenceBase) -> IncidenceBase:

@@ -18,8 +18,8 @@ checks also run under python -O.
 Each `cmd_*` returns its whole output as one string and writes nothing.
 `main(argv)` is the in-process API that tests and tools call: it prints that
 string once and returns 0, or it returns 2 or 4, and it lets an OSError of
-that print, such as BrokenPipeError (the reader of stdout is gone), and
-argparse's SystemExit (`--help` and usage errors) through; it neither flushes
+that print or argparse's, such as BrokenPipeError (stdout's reader is gone),
+and argparse's SystemExit (`--help`, usage errors) through; it neither flushes
 nor touches a file descriptor.  `run()` is the process entry point of the
 `scrolls` script and of `python -m incidence_scrolls.cli`, and it alone ends
 the process: it calls `main`, takes the code of SystemExit, flushes stdout and
@@ -218,8 +218,17 @@ COMMANDS = {"enumerate": cmd_enumerate, "analyze": cmd_analyze,
             "table": cmd_table, "product": cmd_product}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failed writes reach `run`; argparse drops them."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        if message and file is not None:  # None: the stream started closed
+            file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scrolls",
         description="Classify incidence scrolls in projective n-space.")
     sub = parser.add_subparsers(dest="command", required=True)

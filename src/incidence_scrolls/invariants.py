@@ -45,13 +45,12 @@ def kappa(parts: JoinResult) -> int:
 
     A common generator lies in the hyperplane, passes through the P^m cut
     out by the pair, and meets the trace of every other base space.  Those
-    are the spaces of the `dot` component, each but P^m cut down by one; the
-    count is their intersection number one ambient down.
+    are the spaces of the `dot` component: P^m first, then the others, each
+    cut down by one, so the key stays sorted; the count is their
+    intersection number one ambient down.
     """
     (n, dims), _, m = parts
-    key = [d - 1 for d in dims]
-    key[bisect_right(dims, m) - 1] = m  # the last P^m: the key stays sorted
-    value = grassmann._point_coefficient(n - 1, tuple(key))
+    value = grassmann._point_coefficient(n - 1, (m, *[d - 1 for d in dims[1:]]))
     if value < 1:
         raise InvariantError(f"kappa must be positive, got {value}")
     return value
@@ -72,8 +71,8 @@ def _tree(base: IncidenceBase):
     returns its own node.  A base with a point is a leaf, and every base of
     P^2 is {P^0}.  So a base that reaches the join is nondegenerate and
     point-free in P^n, n >= 3: it has two spaces (one imposes at most
-    n - 2 < 2n - 3 conditions), and its two smallest span the ambient: they
-    are joined, meeting in the smallest P^m.
+    n - 2 < 2n - 3 conditions), and its two smallest span the ambient:
+    `join(base)` joins them, so it never raises here.
     """
     if 0 in base.dims:
         # a point in the base sweeps a plane pencil
@@ -82,7 +81,7 @@ def _tree(base: IncidenceBase):
         child = yield restrict_to_span(base)
         return DegenerationNode(base, "restrict", child.degree, child.genus,
                                 children=(child,))
-    parts = join(base, 0, 1)
+    parts = join(base)
     shared = kappa(parts)
     if parts.m == 0 and shared != 1:
         raise InvariantError(f"m=0 join must share one generator, got {shared}")

@@ -78,6 +78,29 @@ def separate(base, i, j):
     return IncidenceBase(n + 1, tuple(d + 1 for d in others) + (di, dj))
 
 
+def forced_join(base, i, j):
+    """Join spaces i and j of `base`, any admissible pair, without `bases.join`:
+    ((dot, ddot, m), kappa).
+
+    Both components come from the public IncidenceBase constructor, which
+    sorts, drops hyperplanes and checks the 2n-3 condition; a point among the
+    other spaces has no trace in the hyperplane, so ddot refuses it.  kappa
+    counts the lines of the hyperplane through P^m that meet every other
+    trace.
+    """
+    n, dims = base
+    if i == j or not (0 <= i < len(dims) and 0 <= j < len(dims)):
+        raise ValueError(f"({i}, {j}) is not a pair of spaces of {base}")
+    di, dj = dims[i], dims[j]
+    m = di + dj - n + 1
+    if m < 0:
+        raise ValueError(f"P^{di} and P^{dj} already lie in a hyperplane of P^{n}")
+    traces = [d - 1 for k, d in enumerate(dims) if k not in (i, j)]
+    dot = IncidenceBase(n, [d + 1 for d in traces] + [m])
+    ddot = IncidenceBase(n - 1, traces + [di, dj])
+    return (dot, ddot, m), point_coefficient(n - 1, traces + [m])
+
+
 def adjunction_genus(base):
     """Genus of the scroll of a base by adjunction, without the recursion.
 

@@ -17,7 +17,7 @@ from incidence_scrolls.bases import (
 from incidence_scrolls.closed_forms import p2s, p3s, table
 from incidence_scrolls.grassmann import product_of_specials
 from incidence_scrolls.invariants import classify, degeneration_tree, kappa
-from oracles import point_coefficient, separate
+from oracles import forced_join, point_coefficient, separate
 
 
 @contextmanager
@@ -134,21 +134,22 @@ def test_criterion_7_degeneration_bookkeeping():
             for child in node.children:
                 check(child)
 
-        # the engine always joins the two smallest spaces; forcing the first
-        # join onto every pair (all are admissible on a nondegenerate base)
-        # must give the same degree and genus
+        # the engine always joins the two smallest spaces; the oracle forces
+        # the first join onto every pair (all are admissible on a
+        # nondegenerate base), which must give the same degree and genus
         for n in range(3, 8):
             for base in enumerate_bases(n, nondegenerate_only=True):
                 reference = degeneration_tree(base)
                 check(reference)
+                parts = join(base)
+                assert forced_join(base, 0, 1) == (parts, kappa(parts))
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
-                    result = join(base, i, j)
-                    shared = kappa(result)
+                    (dot, ddot, m), shared = forced_join(base, i, j)
                     assert shared >= 1
-                    if result.m == 0:
+                    if m == 0:
                         assert shared == 1
-                    dot = degeneration_tree(result.dot)
-                    ddot = degeneration_tree(result.ddot)
+                    dot = degeneration_tree(dot)
+                    ddot = degeneration_tree(ddot)
                     check(dot)
                     check(ddot)
                     assert (dot.degree + ddot.degree,
@@ -177,17 +178,25 @@ def test_criterion_8_enumeration_counts():
 
 def test_criterion_9_round_trip_and_restrict():
     with criterion(9, "separate/join round trip; restriction to span"):
+        # the engine joins the lifted pair when it is the two smallest spaces,
+        # as on every nondegenerate base; the oracle joins any other pair
+        routes = {"join": 0, "oracle": 0}
         for n in range(3, 8):
-            for base in enumerate_bases(n, nondegenerate_only=True):
+            for base in enumerate_bases(n):
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
                     if base.dims[i] + base.dims[j] != n:
                         continue
                     lifted = separate(base, i, j)
                     di, dj = base.dims[i], base.dims[j]
-                    li = lifted.dims.index(di)
-                    lj = lifted.dims.index(dj) if dj != di else li + 1
-                    back = join(lifted, li, lj)
-                    assert back.m == 0
-                    assert back.ddot == base
+                    if lifted.dims[:2] == (di, dj):
+                        routes["join"] += 1
+                        _, ddot, m = join(lifted)
+                    else:
+                        routes["oracle"] += 1
+                        li = lifted.dims.index(di)
+                        (_, ddot, m), _ = forced_join(
+                            lifted, li, lifted.dims.index(dj, li + 1))
+                    assert (m, ddot) == (0, base)
+        assert all(routes.values()), routes
         assert restrict_to_span(IncidenceBase(4, (2, 1, 1))) == \
             IncidenceBase(3, (1, 1, 1))

@@ -14,7 +14,7 @@ from incidence_scrolls.bases import (
     restrict_to_span,
     satisfies_is,
 )
-from oracles import B, parse_base, random_bases, separate
+from oracles import B, forced_join, parse_base, random_bases, separate
 
 
 def partition_count(total, largest):
@@ -186,47 +186,52 @@ class TestEnumeration:
 
 class TestJoin:
     def test_seven_solids(self):
-        result = join(B(5, 3, 3, 3, 3, 3, 3, 3), 0, 1)
+        result = join(B(5, 3, 3, 3, 3, 3, 3, 3))
         assert result.m == 2
         assert result.dot == B(5, 2, 3, 3, 3, 3, 3)
         assert result.ddot == B(4, 2, 2, 2, 2, 2)
 
     def test_five_planes(self):
-        result = join(B(4, 2, 2, 2, 2, 2), 0, 1)
+        result = join(B(4, 2, 2, 2, 2, 2))
         assert result.m == 1
         assert result.dot == B(4, 1, 2, 2, 2)
         assert result.ddot == B(3, 1, 1, 1)
 
     def test_m_zero(self):
         base = B(7, 2, 4, 4, 4, 5)
-        result = join(base, 0, 1)
+        result = join(base)
         assert result.m == 0
         assert result.dot == B(7, 0, 4, 4, 5)
         assert result.ddot == B(6, 2, 3, 3, 4, 4)
 
     def test_no_specialization(self):
-        with pytest.raises(ValueError):
-            join(B(6, 2, 2, 3, 4), 0, 1)  # 2+2-6+1 < 0
+        with pytest.raises(ValueError, match=r"^P\^2 and P\^2 of n=6 dims=2,2,3,4 already "
+                                             r"lie in a hyperplane of P\^6 generically$"):
+            join(B(6, 2, 2, 3, 4))  # 2+2-6+1 < 0
 
-    @pytest.mark.parametrize("i,j", [(-1, 3), (0, 5), (1, 1)])
-    def test_bad_pair_rejected(self, i, j):
-        with pytest.raises(ValueError, match=rf"pair \({i}, {j}\) is not two "
-                                             r"distinct spaces of n=6 dims=2,3,3,4,4"):
-            join(B(6, 2, 3, 3, 4, 4), i, j)
+    def test_one_space_rejected(self):
+        with pytest.raises(ValueError, match="^n=2 dims=0 has fewer than two spaces to join$"):
+            join(B(2, 0))
 
     def test_point_cannot_be_pushed(self):
-        with pytest.raises(ValueError, match="^cannot push a point into the hyperplane$"):
-            join(B(4, 0, 2, 2), 1, 2)
+        # a point and any other space lie in a hyperplane: m < 0
+        with pytest.raises(ValueError, match=r"^P\^0 and P\^2 of n=4 dims=0,2,2 "):
+            join(B(4, 0, 2, 2))
 
     def test_children_satisfy_is(self):
+        # the oracle joins every admissible pair; the constructor checks
+        # 2n-3 on both components
         for n in range(3, 7):
             for base in enumerate_bases(n, nondegenerate_only=True):
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
                     if base.dims[i] + base.dims[j] - n + 1 < 0:
                         continue
-                    result = join(base, i, j)
-                    assert satisfies_is(result.dot)
-                    assert satisfies_is(result.ddot)
+                    (dot, ddot, _), _ = forced_join(base, i, j)
+                    assert satisfies_is(dot)
+                    assert satisfies_is(ddot)
+                result = join(base)
+                assert satisfies_is(result.dot)
+                assert satisfies_is(result.ddot)
 
 
 class TestSeparate:
@@ -236,18 +241,27 @@ class TestSeparate:
         assert lifted == B(7, 2, 4, 4, 4, 5)
 
     def test_round_trip(self):
+        # the engine joins the lifted pair when it is the two smallest spaces,
+        # the oracle any other pair; on a nondegenerate base every other space
+        # is >= dj - 1, so only degenerate bases take the oracle
+        routes = {"join": 0, "oracle": 0}
         for n in range(3, 7):
-            for base in enumerate_bases(n, nondegenerate_only=True):
+            for base in enumerate_bases(n):
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
                     if base.dims[i] + base.dims[j] != n:
                         continue
                     lifted = separate(base, i, j)
                     di, dj = base.dims[i], base.dims[j]
-                    li = lifted.dims.index(di)
-                    lj = lifted.dims.index(dj) if dj != di else li + 1
-                    back = join(lifted, li, lj)
-                    assert back.m == 0
-                    assert back.ddot == base
+                    if lifted.dims[:2] == (di, dj):
+                        routes["join"] += 1
+                        _, ddot, m = join(lifted)
+                    else:
+                        routes["oracle"] += 1
+                        li = lifted.dims.index(di)
+                        (_, ddot, m), _ = forced_join(
+                            lifted, li, lifted.dims.index(dj, li + 1))
+                    assert (m, ddot) == (0, base)
+        assert all(routes.values()), routes
 
     def test_wrong_sum(self):
         with pytest.raises(ValueError):

@@ -556,6 +556,9 @@ class TestExitCodes:
         assert (proc.returncode, err) == (0, b"")
 
 
+ENUMERATE = ["enumerate", "-n", "12", "--format", "json"]
+
+
 class TestProcessExit:
     """`python -m incidence_scrolls.cli` ends through `cli.run`, which flushes
     and calls os._exit; TestGoldenCorpus compares its output with `main`'s."""
@@ -573,17 +576,21 @@ class TestProcessExit:
         assert (proc.returncode, err) == (141, b"")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("flags, env", [([], write_through_env),
-                                            ([], buffered_env),
-                                            (["-O"], buffered_env)],
-                             ids=["write-through", "buffered", "optimize"])
-    def test_failed_write_exits_74(self, flags, env):
+    @pytest.mark.parametrize("flags, argv, env", [
+        ([], ENUMERATE, write_through_env),
+        ([], ENUMERATE, buffered_env),
+        (["-O"], ENUMERATE, buffered_env),
+        ([], ["--help"], write_through_env),
+        ([], ["--help"], buffered_env),
+        ([], ["enumerate", "--help"], write_through_env),
+    ], ids=["write-through", "buffered", "optimize", "help-write-through",
+            "help-buffered", "subcommand-help-write-through"])
+    def test_failed_write_exits_74(self, flags, argv, env):
         # every write to /dev/full fails with ENOSPC: with write-through stdout
-        # in main's print, with buffered stdout in cli.run's flush
+        # in main's print or argparse's, with buffered stdout in cli.run's flush
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(
-                [sys.executable, *flags, "-m", "incidence_scrolls.cli",
-                 "enumerate", "-n", "12", "--format", "json"],
+                [sys.executable, *flags, "-m", "incidence_scrolls.cli", *argv],
                 stdout=full, stderr=subprocess.PIPE, env=env(), timeout=120)
         error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         assert (proc.returncode, proc.stderr.decode()) == \

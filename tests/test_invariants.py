@@ -36,6 +36,7 @@ from incidence_scrolls.invariants import (
 from oracles import (
     B,
     adjunction_genus,
+    forced_join,
     k_theory_genus,
     parse_base,
     pieri_fold,
@@ -73,7 +74,7 @@ def check_witness(base, table):
         else:
             assert row["action"] == "join"
             assert row["pair"] == list(node_base.dims[:2])
-            result = join(node_base, 0, 1)
+            result = join(node_base)
             dot, ddot = children
             assert [dot["base"], ddot["base"]] == \
                 [format_base(result.dot), format_base(result.ddot)]
@@ -86,19 +87,18 @@ def check_witness(base, table):
     assert root["degree"] == degree(base)
 
 
-def forced_join(base, i, j):
+def forced_invariants(base, i, j):
     """Degree and genus of `base` with its first join forced to spaces i, j.
 
-    The two components come from `join`, their witnesses from
-    `degeneration_tree` and the shared generators from `kappa`, so every
-    join pair of a nondegenerate base must give the engine's own numbers.
+    The two components and the shared generators come from the oracle
+    `forced_join`, their witnesses from `degeneration_tree`, so every join
+    pair of a nondegenerate base must give the engine's own numbers.
     """
-    result = join(base, i, j)
-    shared = kappa(result)
+    (dot, ddot, m), shared = forced_join(base, i, j)
     assert shared >= 1
-    if result.m == 0:
+    if m == 0:
         assert shared == 1
-    dot, ddot = degeneration_tree(result.dot), degeneration_tree(result.ddot)
+    dot, ddot = degeneration_tree(dot), degeneration_tree(ddot)
     return dot.degree + ddot.degree, dot.genus + ddot.genus + shared - 1
 
 
@@ -153,32 +153,55 @@ class TestDegree:
 
 
 class TestKappa:
-    """kappa takes the result of `join`, so a bad pair is refused before it."""
+    """kappa takes the result of `join`, which refuses a degenerate base."""
 
     def test_seven_solids(self):
-        assert kappa(join(B(5, 3, 3, 3, 3, 3, 3, 3), 0, 1)) == 5
+        assert kappa(join(B(5, 3, 3, 3, 3, 3, 3, 3))) == 5
 
     def test_m_zero_forces_one(self):
         base = B(6, 2, 3, 3, 4, 4)
         assert base.dims[0] + base.dims[1] - base.ambient + 1 == 0
-        assert kappa(join(base, 0, 1)) == 1
+        assert kappa(join(base)) == 1
 
     def test_five_planes(self):
-        assert kappa(join(B(4, 2, 2, 2, 2, 2), 0, 1)) == 2
+        assert kappa(join(B(4, 2, 2, 2, 2, 2))) == 2
 
     def test_inadmissible_pair(self):
         with pytest.raises(ValueError):
-            kappa(join(B(6, 2, 2, 3, 4), 0, 1))  # m = 2+2-6+1 < 0
-
-    @pytest.mark.parametrize("i,j", [(-1, 3), (0, 5), (1, 1)])
-    def test_bad_pair_rejected(self, i, j):
-        with pytest.raises(ValueError, match=rf"pair \({i}, {j}\) is not two "
-                                             r"distinct spaces of n=6 dims=2,3,3,4,4"):
-            kappa(join(B(6, 2, 3, 3, 4, 4), i, j))
+            kappa(join(B(6, 2, 2, 3, 4)))  # m = 2+2-6+1 < 0
 
     def test_point_cannot_be_pushed(self):
-        with pytest.raises(ValueError, match="^cannot push a point into the hyperplane$"):
-            kappa(join(B(4, 0, 2, 2), 1, 2))
+        with pytest.raises(ValueError, match=r"^P\^0 and P\^2 of n=4 dims=0,2,2 "):
+            kappa(join(B(4, 0, 2, 2)))
+
+
+class TestForcedJoinOracle:
+    """`oracles.forced_join` on the pair (0, 1) is `join` and `kappa`, built
+    without them."""
+
+    @staticmethod
+    def assert_agrees(base):
+        try:
+            parts = join(base)
+        except ValueError:
+            with pytest.raises(ValueError):
+                forced_join(base, 0, 1)
+        else:
+            assert forced_join(base, 0, 1) == (parts, kappa(parts))
+
+    def test_every_base(self):
+        bases = [base for n in range(3, 10)
+                 for base in enumerate_bases(n, nondegenerate_only=True)]
+        assert len(bases) > 100
+        for base in bases:
+            self.assert_agrees(base)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases(10))
+    def test_random_bases(self, base):
+        # the base may be degenerate or hold a point: then both refuse it
+        self.assert_agrees(base)
+        self.assert_agrees(restrict_to_span(base))
 
 
 class TestGenus:
@@ -256,7 +279,7 @@ class TestDegenerationTree:
             for base in enumerate_bases(n, nondegenerate_only=True):
                 reference = degeneration_tree(base)
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
-                    assert forced_join(base, i, j) == \
+                    assert forced_invariants(base, i, j) == \
                         (reference.degree, reference.genus)
 
     def test_degree_matches_ring(self):
@@ -399,22 +422,19 @@ class TestEngineSeams:
         assert all(calls.values()), calls
 
     def test_one_pair_per_join_step(self, monkeypatch):
-        # join checks the pair and kappa reads its key off join's result, so
-        # the enumerate -n 13 sweep works out each of its 1532 pairs once
-        pairs = []
-        pair = incidence_scrolls.bases._pair
+        # kappa reads its key off join's result, so the enumerate -n 13 sweep
+        # joins each of its 1532 pairs once
+        calls = []
 
-        def counted(*args):
-            pairs.append(args)
-            return pair(*args)
+        def counted(base):
+            calls.append(base)
+            return join(base)
 
-        for module in (invariants, incidence_scrolls.bases):
-            if getattr(module, "_pair", None) is pair:
-                monkeypatch.setattr(module, "_pair", counted)
+        monkeypatch.setattr(invariants, "join", counted)
         for base in enumerate_bases(13):
             classify(base)
         joins = [node for node in invariants._nodes.values() if node.action == "join"]
-        assert len(pairs) == len(joins) == 1532
+        assert len(calls) == len(joins) == 1532
 
 
 def sent_keys(steps):
@@ -471,12 +491,13 @@ class TestSortedKernelKeys:
     @settings(max_examples=150, deadline=None)
     @given(random_bases(10))
     def test_kappa_of_every_pair(self, base):
-        # P^m keeps its place among the other traces wherever it falls
-        pairs = [(i, j) for i, j in itertools.combinations(range(len(base.dims)), 2)
-                 if base.dims[i] + base.dims[j] >= base.ambient - 1
-                 and 0 not in base.dims[:i] + base.dims[i + 1:j] + base.dims[j + 1:]]
-        assume(pairs)
-        assert_sorted(sent_keys(lambda: [kappa(join(base, i, j)) for i, j in pairs]))
+        # P^m, the smallest space of the join's first component, leads the key
+        effective = restrict_to_span(base)
+        assume(0 not in effective.dims)
+        keys = sent_keys(lambda: kappa(join(effective)))
+        assert_sorted(keys)
+        (_, hs), = keys
+        assert hs[0] == join(effective).m
 
     @pytest.mark.parametrize("bases", [
         [base for n in range(3, 13) for base in enumerate_bases(n)],
@@ -617,7 +638,7 @@ seven_solids = IncidenceBase(5, (3,) * 7)
 degenerate = IncidenceBase(6, (2, 2, 3, 4))
 bases.satisfies_is = lambda base: False
 steps = [
-    lambda: bases.join(seven_solids, 0, 1),
+    lambda: bases.join(seven_solids),
     lambda: bases.restrict_to_span(degenerate),
     lambda: closed_forms.p1s(4),
 ]
@@ -639,7 +660,7 @@ is_base = bases.satisfies_is
 # the first component of the join stays in P^5, the second lies in P^4
 bases.satisfies_is = lambda base: base.ambient != 4 and is_base(base)
 try:
-    bases.join(seven_solids, 0, 1)
+    bases.join(seven_solids)
 except InvariantError as exc:
     print("InvariantError:", exc)
 """
@@ -650,17 +671,15 @@ from incidence_scrolls import bases, invariants
 from incidence_scrolls.bases import IncidenceBase
 
 print("debug", __debug__)
-pair = bases._pair
+derived = bases._derived
 
 
-def drop_a_space(n, dims, i, j):
-    # a P^m as large as a hyperplane imposes no condition: the first
-    # component of the join loses a space
-    di, dj, m, others = pair(n, dims, i, j)
-    return di, dj, n - 1, others
+def drop_a_space(ambient, dims, step):
+    # the first component of the join, in P^4, loses its P^m
+    return derived(ambient, dims[1:] if ambient == 4 else dims, step)
 
 
-bases._pair = drop_a_space
+bases._derived = drop_a_space
 try:
     invariants.classify(IncidenceBase(4, (2, 2, 2, 2, 2)))
 except invariants.InvariantError as exc:
@@ -690,7 +709,7 @@ class TestCrossChecks:
     def test_kappa_must_be_positive(self, monkeypatch):
         monkeypatch.setattr(grassmann, "_point_coefficient", lambda n, hs: 0)
         base = B(5, 3, 3, 3, 3, 3, 3, 3)
-        for step in (lambda: kappa(join(base, 0, 1)), lambda: degeneration_tree(base),
+        for step in (lambda: kappa(join(base)), lambda: degeneration_tree(base),
                      lambda: classify(base)):
             with pytest.raises(InvariantError, match="kappa must be positive"):
                 step()
@@ -757,9 +776,9 @@ class TestRandomBases:
         pair = data.draw(st.sampled_from(
             list(itertools.combinations(range(len(effective.dims)), 2))))
         reference = degeneration_tree(base)
-        assert forced_join(effective, *pair) == (reference.degree, reference.genus)
-        result = join(effective, *pair)
-        for part in (result.dot, result.ddot):
+        assert forced_invariants(effective, *pair) == (reference.degree, reference.genus)
+        (dot, ddot, _), _ = forced_join(effective, *pair)
+        for part in (dot, ddot):
             check_witness(part, node_table(degeneration_tree(part)))
 
     @settings(max_examples=150, deadline=None)
@@ -786,19 +805,31 @@ class TestRandomBases:
         assert satisfies_is(effective) and is_nondegenerate(effective)
         assert restrict_to_span(effective) == effective
 
-    @settings(max_examples=150, deadline=None)
-    @given(random_bases(10), st.data())
-    def test_separate_join_round_trip(self, base, data):
-        pairs = [(i, j) for i, j in itertools.combinations(range(len(base.dims)), 2)
-                 if base.dims[i] + base.dims[j] == base.ambient]
-        assume(pairs)
-        i, j = data.draw(st.sampled_from(pairs))
-        lifted = separate(base, i, j)
-        low = lifted.dims.index(base.dims[i])
-        high = lifted.dims.index(base.dims[j], low + 1)
-        back = join(lifted, low, high)
-        assert back.m == 0
-        assert back.ddot == base
+    def test_separate_join_round_trip(self):
+        # the engine joins the lifted pair when it is the two smallest spaces,
+        # as on every nondegenerate base; the oracle joins any other pair
+        routes = {"join": 0, "oracle": 0}
+
+        @settings(max_examples=150, deadline=None)
+        @given(random_bases(10), st.data())
+        def round_trip(base, data):
+            pairs = [(i, j) for i, j in itertools.combinations(range(len(base.dims)), 2)
+                     if base.dims[i] + base.dims[j] == base.ambient]
+            assume(pairs)
+            i, j = data.draw(st.sampled_from(pairs))
+            lifted = separate(base, i, j)
+            di, dj = base.dims[i], base.dims[j]
+            if lifted.dims[:2] == (di, dj):
+                routes["join"] += 1
+                _, ddot, m = join(lifted)
+            else:
+                routes["oracle"] += 1
+                low = lifted.dims.index(di)
+                (_, ddot, m), _ = forced_join(lifted, low, lifted.dims.index(dj, low + 1))
+            assert (m, ddot) == (0, base)
+
+        round_trip()
+        assert all(routes.values()), routes
 
     @settings(max_examples=150, deadline=None)
     @given(random_bases())

@@ -9,11 +9,11 @@ only `--format text` or `json`.
 
 Exit codes: 0 success, 2 invalid input, 4 a cross-check of the engine's
 results failed, such as the ring degree against the degeneration witness, the
-genus against adjunction or a join yielding a base that does not impose 2n-3
-conditions, 74 the output could not be written, as on a full disk, 141 the
-reader of stdout exited before reading all the output, as in `scrolls ... |
-head` (the status a shell reports for a process killed by SIGPIPE).  The
-checks also run under python -O.
+genus against adjunction, a join yielding a base that does not impose 2n-3
+conditions or a `table` row's closed form against the engine, 74 the output
+could not be written, as on a full disk, 141 the reader of stdout exited
+before reading all the output, as in `scrolls ... | head` (the status a shell
+reports for a process killed by SIGPIPE).  The checks also run under python -O.
 
 Each `cmd_*` returns its whole output as one string and writes nothing.
 `main(argv)` is the in-process API that tests and tools call: it prints that
@@ -39,6 +39,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 
 from .bases import IncidenceBase, enumerate_bases, format_base
@@ -96,10 +97,11 @@ REPORT_COLUMNS = ["base", "span", "degree", "genus", "h1", "special", "directrix
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse dimension list {text!r}") from exc
+    parts = text.split(",")
+    # int() would also take "+1", " 1", "0_2" and non-ASCII digits
+    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
+        raise ValueError(f"cannot parse dimension list {text!r}")
+    return tuple(map(int, parts))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> str:
@@ -155,39 +157,38 @@ def cmd_table(args: argparse.Namespace) -> str:
     rows = []
     deviations = 0
     for table_row in closed_forms.table(args.id):
-        record = table_row.record
-        report = classify(record.base)
-        fixed_dim = {"p1s": 1, "p2s": 2, "p3s": 3}[record.family]
-        engine_dir = dict(report.directrix).get(fixed_dim)
+        record, printed = table_row.record, table_row.printed_directrix
+        report, base = classify(record.base), format_base(record.base)
+        engine_dir = dict(report.directrix).get(int(record.family[1]))  # pks fixes a P^k
+        engine = f"d={report.degree} g={report.genus} h1={report.h1} dir={engine_dir}"
+        if (report.degree, report.genus, engine_dir) != \
+                (record.degree, record.genus, record.directrix_degree):
+            raise InvariantError(
+                f"the {record.family} closed form gives d={record.degree} "
+                f"g={record.genus} dir={record.directrix_degree}, the engine "
+                f"{engine}, for {base}")
         problems = []
         if (report.degree, report.genus) != (table_row.printed_degree,
                                              table_row.printed_genus):
             problems.append(f"degree/genus ({report.degree},{report.genus})")
         if report.special != table_row.star:
             problems.append(f"star (h1={report.h1})")
-        if table_row.printed_directrix is not None and \
-                engine_dir != table_row.printed_directrix:
-            problems.append(f"directrix {engine_dir} vs printed "
-                            f"{table_row.printed_directrix}")
-        status = "ok"
-        if problems:
-            deviations += 1
-            status = "DEVIATION: " + "; ".join(problems)
-            if table_row.note:
-                status += f" ({table_row.note})"
-        engine = f"d={report.degree} g={report.genus} h1={report.h1}"
-        if engine_dir is not None:
-            engine += f" dir={engine_dir}"
+        if printed not in (None, engine_dir):
+            # the engine equals the closed form here: the printed value is the odd one
+            problems.append(
+                f"directrix {engine_dir} vs printed {printed} (printed directrix "
+                f"degree {printed} disagrees with the closed form and the cycle "
+                f"product (both give {engine_dir}); suspected misprint)")
+        deviations += bool(problems)
         rows.append({
             "scroll": table_row.label,
-            "base": format_base(record.base),
+            "base": base,
             "degree": table_row.printed_degree,
             "genus": table_row.printed_genus,
-            "directrix": table_row.printed_directrix
-            if table_row.printed_directrix is not None else "-",
+            "directrix": "-" if printed is None else printed,
             "star": "*" if table_row.star else "",
             "engine": engine,
-            "status": status,
+            "status": "DEVIATION: " + "; ".join(problems) if problems else "ok",
         })
     text = _render_rows(rows, TABLE_COLUMNS, args.format)
     if deviations and args.format not in ("json", "csv"):

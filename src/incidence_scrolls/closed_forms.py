@@ -8,7 +8,9 @@ The families fix a line, a plane, or a 3-space in the base:
 * solid family:  {P^3, j P^(n-4), i P^(n-3), (n+1-3j-2i) P^(n-2)}
 
 These formulas are independent of the generic Schubert/degeneration engine
-and serve as its cross-validation oracle.
+and serve as its cross-validation oracle: `scrolls table` checks the degree,
+genus and directrix degree of every table row's record against the engine,
+so a printed value that disagrees with the engine is a suspected misprint.
 """
 
 from __future__ import annotations
@@ -83,73 +85,62 @@ def p3s(n: int, j: int, i: int) -> ClosedFormRecord:
 
 
 TableRow = namedtuple(
-    "TableRow",
-    "label record star printed_degree printed_genus printed_directrix note")
+    "TableRow", "label record star printed_degree printed_genus printed_directrix")
 TableRow.__doc__ = """One printed row of a classification table, with its fixture values.
 
-label reads e.g. "R^14_8 in P^5"; printed_directrix is None when the row
-prints no such curve."""
+label reads e.g. "R^14_8 in P^5", from the printed degree and genus and the
+record's ambient; printed_directrix is None when the row prints no such curve."""
 
 
-def _row(label, record, *, star=False, directrix=None, note=None) -> TableRow:
-    d, g = (int(p) for p in label.removeprefix("R^").split(" ")[0].split("_"))
-    return TableRow(label=label, record=record, star=star,
-                    printed_degree=d, printed_genus=g,
-                    printed_directrix=directrix, note=note)
+def _row(record, degree, genus, star, directrix) -> TableRow:
+    return TableRow(f"R^{degree}_{genus} in P^{record.base.ambient}", record,
+                    star, degree, genus, directrix)
 
 
 def table(table_id: int) -> list[TableRow]:
-    """The rows of one of the three published classification tables."""
+    """The rows of one of the three published classification tables, each
+    from a spec (record, printed degree, genus, star and directrix degree)."""
     if table_id == 1:
-        return [_row(f"R^{n - 1}_0 in P^{n}", p1s(n), directrix=1)
-                for n in range(3, 10)]
-
-    if table_id == 2:
+        spec_rows = [(p1s(n), n - 1, 0, False, 1) for n in range(3, 10)]
+    elif table_id == 2:
         # The n=3 quadric carries a plane directrix conic but no base plane;
         # it is the line-family scroll printed again.
         spec_rows = [
-            ("R^2_0 in P^3", p1s(3), False, None),
-            ("R^3_0 in P^4", p2s(4, 1), False, 2),
-            ("R^4_0 in P^5", p2s(5, 2), False, 2),
-            ("R^5_0 in P^6", p2s(6, 3), False, 2),
-            ("R^5_1 in P^4", p2s(4, 0), False, 3),
-            ("R^6_1 in P^5", p2s(5, 1), False, 3),
-            ("R^7_1 in P^6", p2s(6, 2), False, 3),
-            ("R^8_1 in P^7", p2s(7, 3), False, 3),
-            ("R^9_1 in P^8", p2s(8, 4), False, 3),
-            ("R^9_3 in P^5", p2s(5, 0), True, 4),
-            ("R^10_3 in P^6", p2s(6, 1), True, 4),
-            ("R^11_3 in P^7", p2s(7, 2), True, 4),
-            ("R^12_3 in P^8", p2s(8, 3), True, 4),
-            ("R^13_3 in P^9", p2s(9, 4), True, 4),
-            ("R^14_3 in P^10", p2s(10, 5), True, 4),
+            (p1s(3), 2, 0, False, None),
+            (p2s(4, 1), 3, 0, False, 2),
+            (p2s(5, 2), 4, 0, False, 2),
+            (p2s(6, 3), 5, 0, False, 2),
+            (p2s(4, 0), 5, 1, False, 3),
+            (p2s(5, 1), 6, 1, False, 3),
+            (p2s(6, 2), 7, 1, False, 3),
+            (p2s(7, 3), 8, 1, False, 3),
+            (p2s(8, 4), 9, 1, False, 3),
+            (p2s(5, 0), 9, 3, True, 4),
+            (p2s(6, 1), 10, 3, True, 4),
+            (p2s(7, 2), 11, 3, True, 4),
+            (p2s(8, 3), 12, 3, True, 4),
+            (p2s(9, 4), 13, 3, True, 4),
+            (p2s(10, 5), 14, 3, True, 4),
         ]
-        return [_row(label, record, star=star, directrix=directrix)
-                for label, record, star, directrix in spec_rows]
-
-    if table_id == 3:
+    elif table_id == 3:
         # printed directrix degrees come from the "Directrix in P^3" column;
-        # the R^10_3 row prints 5 where the family formula (and the cycle
-        # product) give 6 -- kept verbatim and annotated as a misprint.
+        # the R^10_3 row prints 5 where the closed form gives 6, kept verbatim
         spec_rows = [
-            ("R^14_8 in P^5", p3s(5, 0, 0), True, 9, None),
-            ("R^5_0 in P^6", p3s(6, 1, 2), False, 3, None),
-            ("R^7_1 in P^6", p3s(6, 1, 1), False, 4, None),
-            ("R^10_3 in P^6", p3s(6, 1, 0), True, 5,
-             "printed directrix degree 5 disagrees with the closed form "
-             "and the cycle product (both give 6); suspected misprint"),
-            ("R^9_2 in P^6", p3s(6, 0, 3), False, 5, None),
-            ("R^13_5 in P^6", p3s(6, 0, 2), True, 7, None),
-            ("R^19_11 in P^6", p3s(6, 0, 1), True, 10, None),
-            ("R^28_22 in P^6", p3s(6, 0, 0), True, 14, None),
-            ("R^6_0 in P^7", p3s(7, 2, 1), False, 3, None),
-            ("R^8_1 in P^7", p3s(7, 2, 0), False, 4, None),
-            ("R^10_2 in P^7", p3s(7, 1, 2), False, 5, None),
-            ("R^14_5 in P^7", p3s(7, 1, 1), True, 7, None),
-            ("R^20_11 in P^7", p3s(7, 1, 0), True, 10, None),
-            ("R^12_3 in P^7", p3s(7, 0, 4), False, 6, None),
+            (p3s(5, 0, 0), 14, 8, True, 9),
+            (p3s(6, 1, 2), 5, 0, False, 3),
+            (p3s(6, 1, 1), 7, 1, False, 4),
+            (p3s(6, 1, 0), 10, 3, True, 5),
+            (p3s(6, 0, 3), 9, 2, False, 5),
+            (p3s(6, 0, 2), 13, 5, True, 7),
+            (p3s(6, 0, 1), 19, 11, True, 10),
+            (p3s(6, 0, 0), 28, 22, True, 14),
+            (p3s(7, 2, 1), 6, 0, False, 3),
+            (p3s(7, 2, 0), 8, 1, False, 4),
+            (p3s(7, 1, 2), 10, 2, False, 5),
+            (p3s(7, 1, 1), 14, 5, True, 7),
+            (p3s(7, 1, 0), 20, 11, True, 10),
+            (p3s(7, 0, 4), 12, 3, False, 6),
         ]
-        return [_row(label, record, star=star, directrix=directrix, note=note)
-                for label, record, star, directrix, note in spec_rows]
-
-    raise ValueError(f"table id must be 1, 2 or 3, got {table_id}")
+    else:
+        raise ValueError(f"table id must be 1, 2 or 3, got {table_id}")
+    return [_row(*spec) for spec in spec_rows]

@@ -3,8 +3,9 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import io
 import itertools
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from math import factorial
 
 from incidence_scrolls.bases import (
@@ -14,6 +15,7 @@ from incidence_scrolls.bases import (
     join,
     restrict_to_span,
 )
+from incidence_scrolls.cli import main
 from incidence_scrolls.closed_forms import p2s, p3s, table
 from incidence_scrolls.grassmann import product_of_specials
 from incidence_scrolls.invariants import classify, degeneration_tree, kappa
@@ -74,7 +76,15 @@ def test_criterion_3_solid_family_table():
                 deviations.append(row)
         assert len(deviations) == 1
         assert deviations[0].label == "R^10_3 in P^6"
-        assert deviations[0].note is not None
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["table", "--id", "3"]) == 0
+        annotated = [line for line in out.getvalue().splitlines()
+                     if "DEVIATION" in line]
+        assert len(annotated) == 1
+        assert annotated[0].startswith("R^10_3 in P^6 ")
+        assert "directrix 6 vs printed 5" in annotated[0]
+        assert annotated[0].endswith("suspected misprint)")
         assert deviations[0].record.directrix_degree == 6
         assert deviations[0].printed_directrix == 5
 

@@ -338,6 +338,14 @@ class TestAnalyze:
         assert code == 2
         assert "cannot parse" in err
 
+    # int() takes each of these: Arabic-Indic digits, an underscore, a sign
+    # and surrounding whitespace
+    @pytest.mark.parametrize("dims", ["\u0661,\u0661,\u0661", "1,1,0_1", "+1,1,1",
+                                      " 1,1,1", "1,1,1 "])
+    def test_dims_are_ascii_integers(self, capsys, dims):
+        assert run(capsys, "analyze", "-n", "3", "--base", dims) == (
+            2, "", f"error: cannot parse dimension list {dims!r}\n")
+
 
 class TestTable:
     def test_table1(self, capsys):
@@ -450,6 +458,26 @@ class TestExitCodes:
         assert run(capsys, "analyze", "-n", "5", "--base", "3,3,3,3,3,3,3") == (
             4, "", "error: adjunction gives 2g - 2 = 14, not the degeneration "
             "genus 12, for n=5 dims=3,3,3,3,3,3,3\n")
+
+    def test_wrong_closed_form_exits_4_under_optimize(self):
+        # the p3s genus one too high at (j, i) = (1, 0); the engine is untouched,
+        # so only table's closed-form check can see it, on R^10_3 in P^6 first
+        code = (
+            "import sys\n"
+            "from incidence_scrolls import cli, closed_forms\n"
+            "p3s = closed_forms.p3s\n"
+            "def corrupt(n, j, i):\n"
+            "    record = p3s(n, j, i)\n"
+            "    return record._replace(genus=record.genus + ((j, i) == (1, 0)))\n"
+            "closed_forms.p3s = corrupt\n"
+            "sys.exit(cli.main(['table', '--id', '3']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=checkout_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr.splitlines() == [
+            "error: the p3s closed form gives d=10 g=4 dir=6, the engine "
+            "d=10 g=3 h1=1 dir=6, for n=6 dims=2,3,4,4,4,4"]
 
     def test_wrong_kernel_is_caught_under_optimize(self):
         # the tree degree adds leaves and never asks the kernel, so an

@@ -4,6 +4,7 @@ import traceback
 import pytest
 
 from incidence_scrolls.bases import is_nondegenerate, restrict_to_span
+from incidence_scrolls.cli import main
 from incidence_scrolls.closed_forms import ClosedFormRecord, p1s, p2s, p3s, table
 from incidence_scrolls.invariants import classify
 from oracles import B, forced_join
@@ -177,12 +178,15 @@ class TestTables:
     def test_table3_stars(self):
         assert sum(row.star for row in table(3)) == 7
 
-    def test_table3_misprint_is_annotated(self):
-        noted = [row for row in table(3) if row.note]
-        assert len(noted) == 1
-        assert noted[0].label == "R^10_3 in P^6"
-        assert noted[0].printed_directrix == 5
-        assert noted[0].record.directrix_degree == 6
+    def test_table3_misprint_is_annotated(self, capsys):
+        # the annotation is derived from the engine, which the closed form checks
+        assert main(["table", "--id", "3"]) == 0
+        deviating = [line for line in capsys.readouterr().out.splitlines()
+                     if "DEVIATION" in line]
+        assert len(deviating) == 1
+        assert deviating[0].startswith("R^10_3 in P^6 ")
+        assert "directrix 6 vs printed 5" in deviating[0]
+        assert deviating[0].endswith("suspected misprint)")
 
     def test_labels_carry_invariants(self):
         for table_id in (1, 2, 3):

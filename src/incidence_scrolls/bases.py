@@ -152,13 +152,8 @@ def restrict_to_span(base: IncidenceBase) -> IncidenceBase:
     return base
 
 
-def enumerate_bases(n: int, *, nondegenerate_only: bool = False,
-                    contains_dim: int | None = None) -> list[IncidenceBase]:
-    """All bases imposing exactly 2n-3 conditions in P^n, sorted by their dims.
-
-    nondegenerate_only drops every base with a point (which sweeps a plane
-    pencil): with no hyperplane in a base, 0 + d >= n - 1 cannot hold.
-    """
+def enumerate_bases(n: int) -> list[IncidenceBase]:
+    """All bases imposing exactly 2n-3 conditions in P^n, sorted by their dims."""
     if n < 3:
         raise ValueError(f"need ambient n >= 3, got {n}")
 
@@ -170,6 +165,4 @@ def enumerate_bases(n: int, *, nondegenerate_only: bool = False,
 
     found = tails(2 * n - 3, 0)
     tails.cache_clear()  # tails refers to itself: free its lists now, not at a gc pass
-    return [IncidenceBase._make((n, dims)) for dims in found
-            if (contains_dim is None or contains_dim in dims)
-            and (not nondegenerate_only or is_nondegenerate((n, dims)))]
+    return [IncidenceBase._make((n, dims)) for dims in found]

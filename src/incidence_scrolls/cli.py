@@ -42,7 +42,7 @@ import os
 import re
 import sys
 
-from .bases import IncidenceBase, enumerate_bases, format_base
+from .bases import IncidenceBase, enumerate_bases, format_base, is_nondegenerate
 from .grassmann import product_of_specials, render
 from .invariants import (
     InvariantError,
@@ -96,24 +96,30 @@ def _report_json(report: ScrollReport) -> dict:
 REPORT_COLUMNS = ["base", "span", "degree", "genus", "h1", "special", "directrix"]
 
 
+def _parse_int(text: str) -> int:
+    """An ASCII integer, `-?[0-9]+`: int() would also take "+1", " 1", "0_2"
+    and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_dims(text: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    # int() would also take "+1", " 1", "0_2" and non-ASCII digits
-    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
-        raise ValueError(f"cannot parse dimension list {text!r}")
-    return tuple(map(int, parts))
+    try:
+        return tuple(map(_parse_int, text.split(",")))
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"cannot parse dimension list {text!r}") from None
 
 
 def cmd_enumerate(args: argparse.Namespace) -> str:
-    bases = enumerate_bases(args.ambient,
-                            nondegenerate_only=args.nondegenerate,
-                            contains_dim=args.contains_dim)
-    if args.contains_dim != 0:
-        # a base point sweeps a plane pencil, not a surface scroll
-        bases = [b for b in bases if 0 not in b.dims]
-    reports = [classify(base) for base in bases]
-    if args.genus is not None:
-        reports = [r for r in reports if r.genus == args.genus]
+    dim, genus = args.contains_dim, args.genus
+    reports = [report for base in enumerate_bases(args.ambient)
+               # a base point sweeps a plane pencil, not a surface scroll
+               if (dim == 0 or 0 not in base.dims)
+               and (dim is None or dim in base.dims)
+               and (is_nondegenerate(base) or not args.nondegenerate)
+               for report in [classify(base)]
+               if genus is None or report.genus == genus]
     return _render_rows([_report_row(r) for r in reports], REPORT_COLUMNS, args.format)
 
 
@@ -181,7 +187,8 @@ def cmd_table(args: argparse.Namespace) -> str:
                 f"product (both give {engine_dir}); suspected misprint)")
         deviations += bool(problems)
         rows.append({
-            "scroll": table_row.label,
+            "scroll": f"R^{table_row.printed_degree}_{table_row.printed_genus} "
+                      f"in P^{record.base.ambient}",
             "base": base,
             "degree": table_row.printed_degree,
             "genus": table_row.printed_genus,
@@ -217,6 +224,7 @@ def cmd_product(args: argparse.Namespace) -> str:
 
 COMMANDS = {"enumerate": cmd_enumerate, "analyze": cmd_analyze,
             "table": cmd_table, "product": cmd_product}
+FORMATS = ("text", "json", "csv", "md")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -235,19 +243,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--format", choices=("text", "json", "csv", "md"), default="text")
+        # no choices=: argparse's wording of an invalid choice differs
+        # between CPython releases, so main rejects an unknown format itself
+        p.add_argument("--format", default="text", metavar="{" + ",".join(FORMATS) + "}")
 
     p_enum = sub.add_parser("enumerate", help="list and classify all bases in P^n")
-    p_enum.add_argument("-n", "--ambient", type=int, required=True)
+    p_enum.add_argument("-n", "--ambient", type=_parse_int, required=True)
     p_enum.add_argument("--nondegenerate", action="store_true")
-    p_enum.add_argument("--contains-dim", type=int, default=None)
-    p_enum.add_argument("--genus", type=int, default=None)
+    p_enum.add_argument("--contains-dim", type=_parse_int, default=None)
+    p_enum.add_argument("--genus", type=_parse_int, default=None)
     p_enum.add_argument("--force", action="store_true",
                         help="accepted and ignored: enumerate has no ambient cap")
     add_common(p_enum)
 
     p_analyze = sub.add_parser("analyze", help="classify one base")
-    p_analyze.add_argument("-n", "--ambient", type=int, required=True)
+    p_analyze.add_argument("-n", "--ambient", type=_parse_int, required=True)
     p_analyze.add_argument("--base", required=True,
                            help="comma-separated base dimensions, e.g. 2,3,3,3,3,3")
     p_analyze.add_argument("--tree", action="store_true",
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_analyze)
 
     p_table = sub.add_parser("table", help="reproduce a published table")
-    p_table.add_argument("--id", type=int, required=True, metavar="{1,2,3}")
+    p_table.add_argument("--id", type=_parse_int, required=True, metavar="{1,2,3}")
     add_common(p_table)
 
     p_product = sub.add_parser("product", help="multiply special Schubert cycles")
@@ -275,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"unknown command {argv[0]!r}, choose from "
                              + ", ".join(COMMANDS))
         args = build_parser().parse_args(argv)
+        if args.format not in FORMATS:
+            raise ValueError(f"unknown format {args.format!r}, choose from "
+                             + ", ".join(FORMATS))
         text = COMMANDS[args.command](args)
     except (InvariantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

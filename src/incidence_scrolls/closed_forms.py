@@ -85,62 +85,54 @@ def p3s(n: int, j: int, i: int) -> ClosedFormRecord:
 
 
 TableRow = namedtuple(
-    "TableRow", "label record star printed_degree printed_genus printed_directrix")
-TableRow.__doc__ = """One printed row of a classification table, with its fixture values.
-
-label reads e.g. "R^14_8 in P^5", from the printed degree and genus and the
-record's ambient; printed_directrix is None when the row prints no such curve."""
-
-
-def _row(record, degree, genus, star, directrix) -> TableRow:
-    return TableRow(f"R^{degree}_{genus} in P^{record.base.ambient}", record,
-                    star, degree, genus, directrix)
+    "TableRow", "record printed_degree printed_genus star printed_directrix")
+TableRow.__doc__ = """One printed row of a classification table, with its fixture values;
+printed_directrix is None when the row prints no such curve."""
 
 
 def table(table_id: int) -> list[TableRow]:
-    """The rows of one of the three published classification tables, each
-    from a spec (record, printed degree, genus, star and directrix degree)."""
+    """The rows of one of the three published classification tables."""
     if table_id == 1:
-        spec_rows = [(p1s(n), n - 1, 0, False, 1) for n in range(3, 10)]
+        rows = [TableRow(p1s(n), n - 1, 0, False, 1) for n in range(3, 10)]
     elif table_id == 2:
         # The n=3 quadric carries a plane directrix conic but no base plane;
         # it is the line-family scroll printed again.
-        spec_rows = [
-            (p1s(3), 2, 0, False, None),
-            (p2s(4, 1), 3, 0, False, 2),
-            (p2s(5, 2), 4, 0, False, 2),
-            (p2s(6, 3), 5, 0, False, 2),
-            (p2s(4, 0), 5, 1, False, 3),
-            (p2s(5, 1), 6, 1, False, 3),
-            (p2s(6, 2), 7, 1, False, 3),
-            (p2s(7, 3), 8, 1, False, 3),
-            (p2s(8, 4), 9, 1, False, 3),
-            (p2s(5, 0), 9, 3, True, 4),
-            (p2s(6, 1), 10, 3, True, 4),
-            (p2s(7, 2), 11, 3, True, 4),
-            (p2s(8, 3), 12, 3, True, 4),
-            (p2s(9, 4), 13, 3, True, 4),
-            (p2s(10, 5), 14, 3, True, 4),
+        rows = [
+            TableRow(p1s(3), 2, 0, False, None),
+            TableRow(p2s(4, 1), 3, 0, False, 2),
+            TableRow(p2s(5, 2), 4, 0, False, 2),
+            TableRow(p2s(6, 3), 5, 0, False, 2),
+            TableRow(p2s(4, 0), 5, 1, False, 3),
+            TableRow(p2s(5, 1), 6, 1, False, 3),
+            TableRow(p2s(6, 2), 7, 1, False, 3),
+            TableRow(p2s(7, 3), 8, 1, False, 3),
+            TableRow(p2s(8, 4), 9, 1, False, 3),
+            TableRow(p2s(5, 0), 9, 3, True, 4),
+            TableRow(p2s(6, 1), 10, 3, True, 4),
+            TableRow(p2s(7, 2), 11, 3, True, 4),
+            TableRow(p2s(8, 3), 12, 3, True, 4),
+            TableRow(p2s(9, 4), 13, 3, True, 4),
+            TableRow(p2s(10, 5), 14, 3, True, 4),
         ]
     elif table_id == 3:
         # printed directrix degrees come from the "Directrix in P^3" column;
         # the R^10_3 row prints 5 where the closed form gives 6, kept verbatim
-        spec_rows = [
-            (p3s(5, 0, 0), 14, 8, True, 9),
-            (p3s(6, 1, 2), 5, 0, False, 3),
-            (p3s(6, 1, 1), 7, 1, False, 4),
-            (p3s(6, 1, 0), 10, 3, True, 5),
-            (p3s(6, 0, 3), 9, 2, False, 5),
-            (p3s(6, 0, 2), 13, 5, True, 7),
-            (p3s(6, 0, 1), 19, 11, True, 10),
-            (p3s(6, 0, 0), 28, 22, True, 14),
-            (p3s(7, 2, 1), 6, 0, False, 3),
-            (p3s(7, 2, 0), 8, 1, False, 4),
-            (p3s(7, 1, 2), 10, 2, False, 5),
-            (p3s(7, 1, 1), 14, 5, True, 7),
-            (p3s(7, 1, 0), 20, 11, True, 10),
-            (p3s(7, 0, 4), 12, 3, False, 6),
+        rows = [
+            TableRow(p3s(5, 0, 0), 14, 8, True, 9),
+            TableRow(p3s(6, 1, 2), 5, 0, False, 3),
+            TableRow(p3s(6, 1, 1), 7, 1, False, 4),
+            TableRow(p3s(6, 1, 0), 10, 3, True, 5),
+            TableRow(p3s(6, 0, 3), 9, 2, False, 5),
+            TableRow(p3s(6, 0, 2), 13, 5, True, 7),
+            TableRow(p3s(6, 0, 1), 19, 11, True, 10),
+            TableRow(p3s(6, 0, 0), 28, 22, True, 14),
+            TableRow(p3s(7, 2, 1), 6, 0, False, 3),
+            TableRow(p3s(7, 2, 0), 8, 1, False, 4),
+            TableRow(p3s(7, 1, 2), 10, 2, False, 5),
+            TableRow(p3s(7, 1, 1), 14, 5, True, 7),
+            TableRow(p3s(7, 1, 0), 20, 11, True, 10),
+            TableRow(p3s(7, 0, 4), 12, 3, False, 6),
         ]
     else:
         raise ValueError(f"table id must be 1, 2 or 3, got {table_id}")
-    return [_row(*spec) for spec in spec_rows]
+    return rows

@@ -27,6 +27,8 @@ def _coefficients(n: int, hs: tuple[int, ...]) -> Callable[[int], int]:
     """Reader k -> [t^k]P, k >= 0, of P = prod(1 + t + ... + t^c_i), hs sorted.
 
     P is one int, at t = 2^b > P(1) = prod(c_i + 1): no b-bit slot carries.
+    b is a whole number of bytes, so slot k is a slice of P's bytes: each read
+    costs its own slot, not a shift of all of P.
     """
     runs, whole, start = [], 1, 0  # (c_i + 1, multiplicity) of each run of equal h; P(1)
     while start < len(hs):
@@ -34,12 +36,14 @@ def _coefficients(n: int, hs: tuple[int, ...]) -> Callable[[int], int]:
         runs.append((n - hs[start], end - start))
         whole *= runs[-1][0] ** runs[-1][1]
         start = end
-    b = whole.bit_length()
+    size = (whole.bit_length() + 7) // 8  # bytes per slot
+    b = 8 * size
     mask = (1 << b) - 1
     p = 1
     for width, count in runs:
         p *= (((1 << b * width) - 1) // mask) ** count
-    return lambda k: p >> b * k & mask
+    raw = p.to_bytes((p.bit_length() + 7) // 8, "little")
+    return lambda k: int.from_bytes(raw[k * size:(k + 1) * size], "little")
 
 
 def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]:

@@ -3,11 +3,16 @@
 from hypothesis import strategies as st
 
 from incidence_scrolls import grassmann
-from incidence_scrolls.bases import IncidenceBase
+from incidence_scrolls.bases import IncidenceBase, enumerate_bases, is_nondegenerate
 
 
 def B(ambient, *dims):
     return IncidenceBase(ambient, dims)
+
+
+def nondegenerate_bases(n):
+    """The bases of P^n whose scroll spans P^n, in `enumerate_bases` order."""
+    return [base for base in enumerate_bases(n) if is_nondegenerate(base)]
 
 
 @st.composite

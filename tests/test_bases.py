@@ -14,7 +14,14 @@ from incidence_scrolls.bases import (
     restrict_to_span,
     satisfies_is,
 )
-from oracles import B, forced_join, parse_base, random_bases, separate
+from oracles import (
+    B,
+    forced_join,
+    nondegenerate_bases,
+    parse_base,
+    random_bases,
+    separate,
+)
 
 
 def partition_count(total, largest):
@@ -135,14 +142,14 @@ class TestPairRulesAgainstAllPairs:
 
 class TestEnumeration:
     def test_p3(self):
-        assert enumerate_bases(3, nondegenerate_only=True) == [B(3, 1, 1, 1)]
+        assert nondegenerate_bases(3) == [B(3, 1, 1, 1)]
 
     def test_p4(self):
-        assert enumerate_bases(4, nondegenerate_only=True) == \
+        assert nondegenerate_bases(4) == \
             [B(4, 1, 2, 2, 2), B(4, 2, 2, 2, 2, 2)]
 
     def test_p5(self):
-        assert enumerate_bases(5, nondegenerate_only=True) == [
+        assert nondegenerate_bases(5) == [
             B(5, 1, 3, 3, 3, 3),
             B(5, 2, 2, 2, 3),
             B(5, 2, 2, 3, 3, 3),
@@ -170,9 +177,9 @@ class TestEnumeration:
         assert bases == sorted(bases)
 
     def test_contains_dim_filter(self):
-        bases = enumerate_bases(5, nondegenerate_only=True, contains_dim=2)
-        assert all(2 in b.dims for b in bases)
-        assert len(bases) == 3
+        # the filter of `enumerate -n 5 --nondegenerate --contains-dim 2`
+        bases = [b for b in nondegenerate_bases(5) if 2 in b.dims]
+        assert bases == [B(5, 2, 2, 2, 3), B(5, 2, 2, 3, 3, 3), B(5, 2, 3, 3, 3, 3, 3)]
 
     def test_every_enumerated_base_is_is(self):
         for n in range(3, 8):
@@ -222,7 +229,7 @@ class TestJoin:
         # the oracle joins every admissible pair; the constructor checks
         # 2n-3 on both components
         for n in range(3, 7):
-            for base in enumerate_bases(n, nondegenerate_only=True):
+            for base in nondegenerate_bases(n):
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
                     if base.dims[i] + base.dims[j] - n + 1 < 0:
                         continue
@@ -277,7 +284,7 @@ class TestRestrictToSpan:
 
     def test_idempotent_on_nondegenerate(self):
         for n in range(3, 7):
-            for base in enumerate_bases(n, nondegenerate_only=True):
+            for base in nondegenerate_bases(n):
                 assert restrict_to_span(base) == base
 
     @pytest.mark.parametrize("base", [(5, (1, 1)), (5, (3, 3)), (9, (1, 2, 3))])

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 import incidence_scrolls
 from incidence_scrolls import cli, invariants
+from incidence_scrolls.bases import enumerate_bases, format_base, is_nondegenerate
 from incidence_scrolls.cli import _render_rows, main
+from incidence_scrolls.invariants import classify
 from golden_replay import GOLDEN, replay
 
 
@@ -154,6 +157,29 @@ class TestEnumerate:
         first = run(capsys, "enumerate", "-n", "6", "--nondegenerate")
         second = run(capsys, "enumerate", "-n", "6", "--nondegenerate")
         assert first == second
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_filters_one_at_a_time(self, capsys, n):
+        # every combination of the filters against applying them one by one
+        for nondegenerate, dim, genus in itertools.product(
+                [False, True], [None, 0, 1, n - 2], [None, 0, 1]):
+            argv = ["enumerate", "-n", str(n), "--format", "csv"]
+            bases = enumerate_bases(n)
+            if dim is None or dim:
+                bases = [b for b in bases if 0 not in b.dims]
+            if dim is not None:
+                argv += ["--contains-dim", str(dim)]
+                bases = [b for b in bases if dim in b.dims]
+            if nondegenerate:
+                argv.append("--nondegenerate")
+                bases = [b for b in bases if is_nondegenerate(b)]
+            if genus is not None:
+                argv += ["--genus", str(genus)]
+                bases = [b for b in bases if classify(b).genus == genus]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert [row["base"] for row in csv.DictReader(io.StringIO(out))] == \
+                list(map(format_base, bases))
 
 
 # cells of every type a row holds, without a line break: text and md lines
@@ -421,6 +447,15 @@ class TestProduct:
         assert out == ""
         assert err == f"error: --grassmann must be l,n, got {grassmann!r}\n"
 
+    def test_long_product_in_linear_time(self):
+        # the reader slices each slot from P's bytes; a shift of all of P per
+        # slot read took about 4.7 s here on a 2-vCPU x86-64 host
+        proc = subprocess.run(
+            [sys.executable, "-m", "incidence_scrolls.cli", "product",
+             "--grassmann", "1,100000", "--specials", "0"],
+            env=checkout_env(), capture_output=True, text=True, timeout=1.5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1*w(0,100000)\n", "")
+
 
 class TestCommands:
     # one command line per command; a command added without one fails here
@@ -439,6 +474,64 @@ class TestCommands:
         assert capsys.readouterr() == ("", "")
         # main prints it once
         assert run(capsys, *argv) == (0, text + "\n", "")
+
+    # int() takes surrounding whitespace; the golden corpus splits its command
+    # lines on spaces, so these inputs are pinned here
+    @pytest.mark.parametrize("argv, flag", [
+        (["enumerate", "-n", " 3"], "-n/--ambient"),
+        (["analyze", "-n", "3 ", "--base", "1,1,1"], "-n/--ambient"),
+        (["table", "--id", " 1"], "--id"),
+        (["enumerate", "-n", "5", "--genus", "3\n"], "--genus"),
+        (["enumerate", "-n", "5", "--contains-dim", "\t2"], "--contains-dim"),
+    ])
+    def test_integers_are_ascii_digits(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: invalid int value: "
+                            f"{argv[argv.index(flag.split('/')[0]) + 1]!r}\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_argv_exits_cleanly(self, data):
+        # n <= 12 keeps every enumeration fast; a malformed number, option or
+        # format is a usage error, never a traceback
+        number = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(
+            ["", "x", "+3", " 3", "0_3", "\u0663", "3.0", "-", "1,2"]))
+        dims = st.lists(number, min_size=1, max_size=8).map(",".join)
+        fmt = st.sampled_from(["text", "json", "csv", "md", "xml", ""])
+        command = data.draw(st.sampled_from(list(cli.COMMANDS)))
+        if command == "enumerate":
+            argv = ["enumerate", "-n", data.draw(number)]
+            for option in data.draw(st.sets(st.sampled_from(
+                    ["--nondegenerate", "--contains-dim", "--genus", "--force"]))):
+                argv.append(option)
+                if option in ("--contains-dim", "--genus"):
+                    argv.append(data.draw(number))
+        elif command == "analyze":
+            argv = ["analyze", "-n", data.draw(number), "--base", data.draw(dims)]
+            argv += ["--tree"] * data.draw(st.booleans())
+        elif command == "table":
+            argv = ["table", "--id", data.draw(number)]
+        else:
+            argv = ["product", "--grassmann", "1," + data.draw(number),
+                    "--specials", data.draw(dims)]
+        if data.draw(st.booleans()):
+            argv += ["--format", data.draw(fmt)]
+        change = data.draw(st.sampled_from([None, None, "drop", "add"]))
+        if change == "drop":  # one argument missing, or one too many
+            del argv[data.draw(st.integers(1, len(argv) - 1))]
+        elif change == "add":
+            argv.insert(data.draw(st.integers(1, len(argv))),
+                        data.draw(st.sampled_from(["-h", "--bogus", "7"])))
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: --help or a usage error
+                assert exc.code in (0, 2)
+                code = exc.code
+        assert code in (0, 2, 4)
+        assert out.getvalue() == "" or code == 0
 
 
 class TestExitCodes:

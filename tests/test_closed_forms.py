@@ -188,13 +188,6 @@ class TestTables:
         assert "directrix 6 vs printed 5" in deviating[0]
         assert deviating[0].endswith("suspected misprint)")
 
-    def test_labels_carry_invariants(self):
-        for table_id in (1, 2, 3):
-            for row in table(table_id):
-                head = row.label.removeprefix("R^").split(" ")[0]
-                d, g = (int(p) for p in head.split("_"))
-                assert (row.printed_degree, row.printed_genus) == (d, g)
-
     def test_bad_id(self):
         with pytest.raises(ValueError):
             table(4)

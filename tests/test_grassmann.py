@@ -146,16 +146,20 @@ class TestPieri:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_every_multiset_matches_the_fold(self, n):
         # up to 2n + 1 factors: the empty product (the fundamental class),
-        # every class down to the point, and products past it, which vanish
-        classes, vanishing = set(), 0
+        # every class down to the point, and products past it, which vanish;
+        # the kernel memo reads the point class through the same slot reader
+        classes, vanishing, points = set(), 0, 0
         for k in range(2 * n + 2):
             for hs in itertools.combinations_with_replacement(range(n - 1), k):
                 product = product_of_specials(n, hs)
                 assert product == pieri_fold(n, hs)
                 classes |= product.keys()
                 vanishing += not product
+                if sum(n - 1 - h for h in hs) == 2 * (n - 1):
+                    assert point_coefficient(n, hs) == product[0, 1]
+                    points += 1
         assert len(classes) == n * (n + 1) // 2
-        assert vanishing
+        assert vanishing and points
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

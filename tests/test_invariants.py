@@ -38,6 +38,7 @@ from oracles import (
     adjunction_genus,
     forced_join,
     k_theory_genus,
+    nondegenerate_bases,
     parse_base,
     pieri_fold,
     point_coefficient,
@@ -191,7 +192,7 @@ class TestForcedJoinOracle:
 
     def test_every_base(self):
         bases = [base for n in range(3, 10)
-                 for base in enumerate_bases(n, nondegenerate_only=True)]
+                 for base in nondegenerate_bases(n)]
         assert len(bases) > 100
         for base in bases:
             self.assert_agrees(base)
@@ -276,7 +277,7 @@ class TestDegenerationTree:
         # every pair of a nondegenerate base is admissible, and any starting
         # pair must yield the same invariants
         for n in range(3, 7):
-            for base in enumerate_bases(n, nondegenerate_only=True):
+            for base in nondegenerate_bases(n):
                 reference = degeneration_tree(base)
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
                     assert forced_invariants(base, i, j) == \
@@ -349,7 +350,7 @@ class TestDegenerationTree:
         assert all(base.ambient >= 3 for base in nodes if base != B(2, 0))
         # a point and a space d make 0 + d >= n - 1 only if d is a hyperplane
         for n in range(3, 15):
-            with_point = enumerate_bases(n, contains_dim=0)
+            with_point = [base for base in enumerate_bases(n) if 0 in base.dims]
             assert with_point and not any(map(is_nondegenerate, with_point))
 
     def test_failed_build_keeps_only_completed_nodes(self, monkeypatch):

@@ -7,29 +7,29 @@ the root last; `invariants.node_table` defines the rows.  It needs
 `--format text` or `json`: with `csv` or `md` it exits 2.  `product` takes
 only `--format text` or `json`.
 
-Exit codes: 0 success, 2 invalid input, 4 a cross-check of the engine's
-results failed, such as the ring degree against the degeneration witness, the
-genus against adjunction, a join yielding a base that does not impose 2n-3
-conditions or a `table` row's closed form against the engine, 74 the output
-could not be written, as on a full disk, 141 the reader of stdout exited
-before reading all the output, as in `scrolls ... | head` (the status a shell
-reports for a process killed by SIGPIPE).  The checks also run under python -O.
+Exit codes: 0 success, 2 invalid input or input too large to compute, 4 a
+cross-check of the engine's results failed, such as the ring degree against
+the degeneration witness, the genus against adjunction, a join yielding a
+base that does not impose 2n-3 conditions or a `table` row's closed form
+against the engine, 74 the output could not be written, as on a full disk,
+141 the reader of stdout exited before reading all the output, as in
+`scrolls ... | head` (the status a shell reports for a process killed by
+SIGPIPE).  The checks also run under python -O.
 
 Each `cmd_*` returns its whole output as one string and writes nothing.
-`main(argv)` is the in-process API that tests and tools call: it prints that
-string once and returns 0, or it returns 2 or 4, and it lets an OSError of
-that print or argparse's, such as BrokenPipeError (stdout's reader is gone),
-and argparse's SystemExit (`--help`, usage errors) through; it neither flushes
-nor touches a file descriptor.  `run()` is the process entry point of the
-`scrolls` script and of `python -m incidence_scrolls.cli`, and it alone ends
-the process: it calls `main`, takes the code of SystemExit, flushes stdout and
-stderr, turns a BrokenPipeError from either step into 141 and any other
-OSError into 74, and calls `os._exit`.  That skips the interpreter's
-teardown, which frees the witness, the kernel memo and every loaded module:
-about 8-10 ms per process on a 2-vCPU x86-64 host (Python 3.11).  Nothing
-else is skipped, because the package writes only to stdout and stderr and
-registers no atexit handler; output added later, such as statistics or
-logging, must be flushed in `run`.
+`main(argv)` is the in-process API that tests and tools call: for any argv
+it returns 0 (after printing that string once, or argparse's `--help`), 2 or
+4, and it lets only an OSError of that print or argparse's through, such as
+BrokenPipeError (stdout's reader is gone); it neither flushes nor touches a
+file descriptor.  `run()` is the process entry point of the `scrolls` script
+and of `python -m incidence_scrolls.cli`, and it alone ends the process: it
+calls `main`, flushes stdout and stderr, turns a BrokenPipeError from either
+step into 141 and any other OSError into 74, and calls `os._exit`.  That
+skips the interpreter's teardown, which frees the witness, the kernel memo
+and every loaded module: about 8-10 ms per process on a 2-vCPU x86-64 host
+(Python 3.11).  Nothing else is skipped, because the package writes only to
+stdout and stderr and registers no atexit handler; output added later, such
+as statistics or logging, must be flushed in `run`.
 Uncaught exceptions and KeyboardInterrupt still reach the interpreter.
 """
 
@@ -292,6 +292,13 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, InvariantError) else 2
+    except (MemoryError, OverflowError) as exc:  # str(MemoryError()) is empty
+        cause = ("ran out of memory" if isinstance(exc, MemoryError)
+                 else "needs an integer larger than Python allows")
+        print(f"error: input too large: the computation {cause}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # argparse: --help or a usage error
+        return exc.code
     print(text)
     return 0
 
@@ -299,10 +306,7 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """Run `main` on the process's arguments and end the process; never returns."""
     try:
-        try:
-            code = main()
-        except SystemExit as exc:  # argparse: --help or a usage error
-            code = exc.code
+        code = main()
         # either stream is None when the process starts with it closed
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:

@@ -5,7 +5,8 @@
 prints each command whose stdout digest, stderr or exit code differs from
 its pinned entry, then a count, and exits 1 on any mismatch.  It needs only
 the standard library, so it runs on interpreters without pytest;
-`test_cli.py::TestGoldenCorpus::test_in_process` calls `replay` per entry.
+`test_cli.py::TestGoldenCorpus::test_in_process` calls `replay` per entry,
+and `test_under_optimize` runs this script under `python -O`.
 """
 
 from __future__ import annotations
@@ -28,15 +29,11 @@ GOLDEN = json.loads((Path(__file__).resolve().parent / "golden.json").read_text(
 
 
 def replay(command: str) -> dict:
-    """The entry that `main` gives for `command` now; the code of argparse's
-    SystemExit counts as the exit code."""
+    """The entry that `main` gives for `command` now."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, COLUMNS="80"), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(command.split())
-        except SystemExit as exc:
-            code = exc.code
+        code = main(command.split())
     return {"stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
             "stderr": err.getvalue(), "exit": code}
 

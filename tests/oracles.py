@@ -1,5 +1,11 @@
 """Helpers shared by the test modules that the package itself does not need."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import strategies as st
 
 from incidence_scrolls import grassmann
@@ -8,6 +14,36 @@ from incidence_scrolls.bases import IncidenceBase, enumerate_bases, is_nondegene
 
 def B(ambient, *dims):
     return IncidenceBase(ambient, dims)
+
+
+def checkout_env():
+    """Environment whose PYTHONPATH puts this checkout's package first."""
+    src = str(Path(grassmann.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_optimized(*args, env=checkout_env):
+    """`python -O *args` in a fresh interpreter on this checkout, in the
+    environment that `env()` returns; -O strips every assert."""
+    return subprocess.run([sys.executable, "-O", *args], env=env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+def sent_keys(steps):
+    """Every (n, hs), in order, that running `steps` sends to the engine's
+    kernel memo `grassmann._point_coefficient`."""
+    sent = []
+    kernel = grassmann._point_coefficient
+
+    def recording(n, hs):
+        sent.append((n, hs))
+        return kernel(n, hs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grassmann, "_point_coefficient", recording)
+        steps()
+    return sent
 
 
 def nondegenerate_bases(n):

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,23 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import incidence_scrolls
-from incidence_scrolls import cli, invariants
+from incidence_scrolls import cli, closed_forms, invariants
 from incidence_scrolls.bases import enumerate_bases, format_base, is_nondegenerate
 from incidence_scrolls.cli import _render_rows, main
 from incidence_scrolls.invariants import classify
 from golden_replay import GOLDEN, replay
+from oracles import checkout_env, run_optimized
 
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
-    """Exit code, stdout and stderr of `main`; the code of argparse's SystemExit."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    """Exit code, stdout and stderr of `main`."""
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -44,13 +42,6 @@ def command_id(command):
                    for value, group in itertools.groupby(word.split(","))]
         return ",".join(value if k == 1 else f"{value}^{k}" for value, k in counted)
     return " ".join(map(runs, command.split()))
-
-
-def checkout_env():
-    """Environment whose PYTHONPATH puts this checkout's package first."""
-    src = str(Path(incidence_scrolls.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def buffered_env():
@@ -225,32 +216,17 @@ class TestGrid:
             assert [line[o:o + len(cell)] for o, cell in zip(offsets, cells)] == cells
 
 
-class TestGoldenStdout:
-    # sha256 and size of stdout, pinned from the json.dumps writer and the
-    # engine before its keys were built sorted; -O strips every assert
-    @pytest.mark.parametrize("argv, digest, size", [
-        (["enumerate", "-n", "13", "--format", "json"],
-         "2db936f3cb5aed0bfea8dc6bdea63e7936a64fcb8097f87ca352997831320bb5", 233895),
-        (["table", "--id", "1", "--format", "json"],
-         "9a344cee12967707932002785a572c21eaf01f2def8b6d2df7ea65efa1b3a5df", 1396),
-        (["table", "--id", "2", "--format", "json"],
-         "3112c2cd1813114ee2aaad9a953dfd849f0c976e37712c1fe09342d42c9de769", 2985),
-        (["table", "--id", "3", "--format", "json"],
-         "af622ba905e4c548e362f7b453b82b3318a82c18e480c6936d6e509fc9e22b00", 2980),
-    ], ids=["enumerate-13", "table-1", "table-2", "table-3"])
-    def test_under_optimize(self, argv, digest, size):
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "incidence_scrolls.cli", *argv],
-            env=checkout_env(), capture_output=True, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        assert len(proc.stdout) == size
-        assert hashlib.sha256(proc.stdout).hexdigest() == digest
-
-
 class TestGoldenCorpus:
     @pytest.mark.parametrize("command", GOLDEN, ids=command_id)
     def test_in_process(self, command):
         assert replay(command) == GOLDEN[command]
+
+    def test_under_optimize(self):
+        # -O strips every assert: the whole corpus replays the same without them
+        proc = run_optimized(str(ROOT / "tests" / "golden_replay.py"))
+        count = f"{len(GOLDEN)} of {len(GOLDEN)}"
+        assert (proc.returncode, proc.stderr, proc.stdout) == (
+            0, "", f"{sys.version.split()[0]}: {count} golden entries match\n")
 
     # each output format and exit path, the largest outputs, ended by cli.run
     # with stdout block-buffered, once into a pipe and once into a file
@@ -399,6 +375,32 @@ class TestTable:
         assert "misprint" in deviating[0]
         assert "# 1 deviation(s)" in out
 
+    def test_printed_degree_and_star_deviations(self, capsys, monkeypatch):
+        # table 1 with one printed degree too high and one row starred: the
+        # engine agrees with every closed form, so the rows deviate and exit 0
+        rows = closed_forms.table(1)
+        rows[0] = rows[0]._replace(printed_degree=rows[0].printed_degree + 1)
+        rows[1] = rows[1]._replace(star=True)
+        monkeypatch.setattr(closed_forms, "table", lambda table_id: rows)
+        statuses = ["DEVIATION: degree/genus (2,0)", "DEVIATION: star (h1=0)"] + \
+            ["ok"] * 5
+        footer = "# 2 deviation(s) against the printed table"
+        for fmt, first_row in [("text", 1), ("md", 2)]:
+            code, out, err = run(capsys, "table", "--id", "1", "--format", fmt)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert lines[-1] == footer
+            column = lines[0].index("status")
+            assert [line[column:].rstrip(" |") for line in lines[first_row:-1]] == \
+                statuses
+        code, out, err = run(capsys, "table", "--id", "1", "--format", "json")
+        assert (code, err) == (0, "")
+        assert [row["status"] for row in json.loads(out)] == statuses
+        code, out, err = run(capsys, "table", "--id", "1", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == statuses
+        assert "deviation(s)" not in out
+
 
 class TestProduct:
     def test_point_multiple(self, capsys):
@@ -494,14 +496,17 @@ class TestCommands:
     @given(st.data())
     def test_any_argv_exits_cleanly(self, data):
         # n <= 12 keeps every enumeration fast; a malformed number, option or
-        # format is a usage error, never a traceback
-        number = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(
+        # format is a usage error and a number too large to compute with is
+        # invalid input, never a traceback
+        small = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(
             ["", "x", "+3", " 3", "0_3", "\u0663", "3.0", "-", "1,2"]))
+        # enumerate -n has no cap, so 10**30 is never its ambient
+        number = st.one_of(small, st.just(str(10**30)))
         dims = st.lists(number, min_size=1, max_size=8).map(",".join)
         fmt = st.sampled_from(["text", "json", "csv", "md", "xml", ""])
         command = data.draw(st.sampled_from(list(cli.COMMANDS)))
         if command == "enumerate":
-            argv = ["enumerate", "-n", data.draw(number)]
+            argv = ["enumerate", "-n", data.draw(small)]
             for option in data.draw(st.sets(st.sampled_from(
                     ["--nondegenerate", "--contains-dim", "--genus", "--force"]))):
                 argv.append(option)
@@ -525,11 +530,7 @@ class TestCommands:
                         data.draw(st.sampled_from(["-h", "--bogus", "7"])))
         out = io.StringIO()
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse: --help or a usage error
-                assert exc.code in (0, 2)
-                code = exc.code
+            code = main(argv)
         assert code in (0, 2, 4)
         assert out.getvalue() == "" or code == 0
 
@@ -565,8 +566,7 @@ class TestExitCodes:
             "closed_forms.p3s = corrupt\n"
             "sys.exit(cli.main(['table', '--id', '3']))\n"
         )
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=checkout_env(),
-                              capture_output=True, text=True, timeout=60)
+        proc = run_optimized("-c", code)
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr.splitlines() == [
             "error: the p3s closed form gives d=10 g=4 dir=6, the engine "
@@ -582,8 +582,7 @@ class TestExitCodes:
             "grassmann._point_coefficient = lambda n, hs: kernel(n, hs) + 1\n"
             "sys.exit(cli.main(['analyze', '-n', '5', '--base', '3,3,3,3,3,3,3']))\n"
         )
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=checkout_env(),
-                              capture_output=True, text=True, timeout=60)
+        proc = run_optimized("-c", code)
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
@@ -599,11 +598,23 @@ class TestExitCodes:
             "sys.argv[1:] = ['analyze', '-n', '5', '--base', '3,3,3,3,3,3,3']\n"
             "cli.run()\n"
         )
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=buffered_env(),
-                              capture_output=True, text=True, timeout=60)
+        proc = run_optimized("-c", code, env=buffered_env)
         assert (proc.returncode, proc.stdout) == (4, "")
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
+
+    def test_out_of_memory_exits_2(self):
+        # the kernel's integer for n = 10**15 has about 10**15 bytes; under a
+        # 1 GiB address space its allocation fails at once
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = cli_process("analyze", "-n", str(10**15), "--base", "0,1",
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           preexec_fn=cap_address_space)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (
+            2, b"", b"error: input too large: the computation ran out of memory\n")
 
     def test_deep_line_family_ignores_frame_limit(self):
         # the witness of the line family is n levels deep, far more than the
@@ -664,10 +675,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["enumerate", "-n", "3"],
                                       ["analyze", "-n", "3", "--base", "1,1,1"]])
     def test_cache_option_is_gone(self, capsys, tmp_path, argv):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--cache", str(tmp_path / "cache.txt")])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        code, _, err = run(capsys, *argv, "--cache", str(tmp_path / "cache.txt"))
+        assert code == 2
+        assert "unrecognized arguments: --cache" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_stdout_closed_at_start(self):
@@ -685,8 +695,8 @@ class TestProcessExit:
     and calls os._exit; TestGoldenCorpus compares its output with `main`'s."""
 
     def test_reader_gone_before_help(self):
-        # argparse prints the help and raises SystemExit, so cli.run's flush is
-        # the first write to the pipe
+        # the help fits in stdout's buffer and main returns 0, so cli.run's
+        # flush is the first write to the pipe
         read_end, write_end = os.pipe()
         os.close(read_end)
         proc = subprocess.Popen([sys.executable, "-m", "incidence_scrolls.cli", "--help"],

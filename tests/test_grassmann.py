@@ -12,7 +12,7 @@ from incidence_scrolls import bases, grassmann, invariants
 from incidence_scrolls.bases import IncidenceBase, enumerate_bases
 from incidence_scrolls.grassmann import product_of_specials, render
 from incidence_scrolls.invariants import classify, degeneration_tree, node_table
-from oracles import pieri_fold, point_coefficient
+from oracles import pieri_fold, point_coefficient, sent_keys
 
 
 def pieri_oracle(n, hs):
@@ -73,23 +73,6 @@ def runs_of_equal_factors(draw, max_n=40):
         hs += [n - 1 - c] * run
         remaining -= c * run
     return n, hs
-
-
-def kernel_keys(bases):
-    """The distinct (n, sorted hs) keys that classifying `bases` asks the kernel for."""
-    keys = set()
-    kernel = grassmann._point_coefficient
-
-    def recording(ambient, hs):
-        hs = tuple(sorted(hs))
-        keys.add((ambient, hs))
-        return kernel(ambient, hs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grassmann, "_point_coefficient", recording)
-        for base in bases:
-            classify(base)
-    return keys
 
 
 def codimension_of(n, index):
@@ -340,7 +323,7 @@ class TestKernelMemo:
 
     @pytest.mark.parametrize("n", range(3, 14))
     def test_every_sweep_key_matches_the_fold(self, n):
-        keys = kernel_keys(enumerate_bases(n))
+        keys = set(sent_keys(lambda: [classify(base) for base in enumerate_bases(n)]))
         assert keys
         for key in keys:
             assert point_coefficient(*key) == pieri_fold(*key).get((0, 1), 0)
@@ -349,7 +332,8 @@ class TestKernelMemo:
         # {P^1, (n-1) P^(n-2)}: about n codim-1 factors per key, so one long
         # run of equal h and slots about n bits wide
         n = 300
-        keys = kernel_keys([IncidenceBase(n, (1,) + (n - 2,) * (n - 1))])
+        line_family = IncidenceBase(n, (1,) + (n - 2,) * (n - 1))
+        keys = set(sent_keys(lambda: classify(line_family)))
         assert len(keys) > n
         for key in keys:
             assert point_coefficient(*key) == pieri_fold(*key).get((0, 1), 0)

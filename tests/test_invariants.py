@@ -1,7 +1,5 @@
+import ast
 import itertools
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +41,8 @@ from oracles import (
     pieri_fold,
     point_coefficient,
     random_bases,
+    run_optimized,
+    sent_keys,
     separate,
 )
 
@@ -438,21 +438,6 @@ class TestEngineSeams:
         assert len(calls) == len(joins) == 1532
 
 
-def sent_keys(steps):
-    """Every (n, hs) that running `steps` sends to the engine's kernel memo."""
-    sent = []
-    kernel = grassmann._point_coefficient
-
-    def recording(n, hs):
-        sent.append((n, hs))
-        return kernel(n, hs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grassmann, "_point_coefficient", recording)
-        steps()
-    return sent
-
-
 def assert_sorted(keys):
     assert keys
     for n, hs in keys:
@@ -688,24 +673,23 @@ except invariants.InvariantError as exc:
 """
 
 
-def run_optimized(code):
-    """Run `code` under `python -O`, which strips every assert."""
-    src = str(Path(incidence_scrolls.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
-
-
 class TestCrossChecks:
+    def test_no_check_is_stripped_by_optimize(self):
+        # python -O drops every assert statement and every `if __debug__:` block
+        package = Path(incidence_scrolls.__file__).resolve().parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+                assert not isinstance(node, ast.Assert), where
+                assert not (isinstance(node, ast.Name) and node.id == "__debug__"), where
+
     def test_ring_degree_check_survives_optimize(self):
-        assert run_optimized(RING_DEGREE_OFF_BY_ONE) == [
+        proc = run_optimized("-c", RING_DEGREE_OFF_BY_ONE)
+        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", [
             "debug False",
             "InvariantError: ring degree 4 disagrees with degeneration "
             "bookkeeping 3 for n=4 dims=1,2,2,2",
-        ]
+        ])
 
     def test_kappa_must_be_positive(self, monkeypatch):
         monkeypatch.setattr(grassmann, "_point_coefficient", lambda n, hs: 0)
@@ -736,14 +720,16 @@ class TestCrossChecks:
             classify(base)
 
     def test_corrupted_join_survives_optimize(self):
-        assert run_optimized(CORRUPTED_JOIN) == [
+        proc = run_optimized("-c", CORRUPTED_JOIN)
+        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", [
             "debug False",
             "InvariantError: join produced n=4 dims=2,2,2, which is not an "
             "incidence-scroll base",
-        ]
+        ])
 
     def test_base_checks_survive_optimize(self):
-        assert run_optimized(BASE_CHECKS_WITHOUT_IS) == [
+        proc = run_optimized("-c", BASE_CHECKS_WITHOUT_IS)
+        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", [
             "debug False",
             "InvariantError: join produced n=5 dims=2,3,3,3,3,3, which is "
             "not an incidence-scroll base",
@@ -751,14 +737,15 @@ class TestCrossChecks:
             "which is not an incidence-scroll base",
             "InvariantError: p1s closed form produced n=4 dims=1,2,2,2, which "
             "is not an incidence-scroll base",
-        ]
+        ])
 
     def test_second_join_component_is_checked_under_optimize(self):
-        assert run_optimized(SECOND_JOIN_CHECK) == [
+        proc = run_optimized("-c", SECOND_JOIN_CHECK)
+        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", [
             "debug False",
             "InvariantError: join produced n=4 dims=2,2,2,2,2, which is not an "
             "incidence-scroll base",
-        ]
+        ])
 
 
 class TestRandomBases:

@@ -216,6 +216,29 @@ class TestGrid:
             assert [line[o:o + len(cell)] for o, cell in zip(offsets, cells)] == cells
 
 
+class TestGoldenStdout:
+    # sha256 and size of the bytes that the process entry point writes under
+    # -O, pinned from the json.dumps writer and the engine before its keys
+    # were built sorted
+    @pytest.mark.parametrize("argv, digest, size", [
+        (["enumerate", "-n", "13", "--format", "json"],
+         "2db936f3cb5aed0bfea8dc6bdea63e7936a64fcb8097f87ca352997831320bb5", 233895),
+        (["table", "--id", "1", "--format", "json"],
+         "9a344cee12967707932002785a572c21eaf01f2def8b6d2df7ea65efa1b3a5df", 1396),
+        (["table", "--id", "2", "--format", "json"],
+         "3112c2cd1813114ee2aaad9a953dfd849f0c976e37712c1fe09342d42c9de769", 2985),
+        (["table", "--id", "3", "--format", "json"],
+         "af622ba905e4c548e362f7b453b82b3318a82c18e480c6936d6e509fc9e22b00", 2980),
+    ], ids=["enumerate-13", "table-1", "table-2", "table-3"])
+    def test_under_optimize(self, argv, digest, size):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "incidence_scrolls.cli", *argv],
+            env=checkout_env(), capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(proc.stdout) == size
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 class TestGoldenCorpus:
     @pytest.mark.parametrize("command", GOLDEN, ids=command_id)
     def test_in_process(self, command):

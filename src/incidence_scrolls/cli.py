@@ -7,7 +7,8 @@ the root last; `invariants.node_table` defines the rows.  It needs
 `--format text` or `json`: with `csv` or `md` it exits 2.  `product` takes
 only `--format text` or `json`.
 
-Exit codes: 0 success, 2 invalid input or input too large to compute, 4 a
+Exit codes: 0 success, 2 invalid input or input too large to compute (an
+`enumerate -n` above MAX_ENUMERATE_AMBIENT is refused before any work), 4 a
 cross-check of the engine's results failed, such as the ring degree against
 the degeneration witness, the genus against adjunction, a join yielding a
 base that does not impose 2n-3 conditions or a `table` row's closed form
@@ -71,29 +72,24 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
     return "\n".join("  ".join(line) for line in padded)
 
 
+# the scalar fields of a report, in their output order in every format
+REPORT_FIELDS = ("span", "degree", "genus", "h1", "special")
+REPORT_COLUMNS = ["base", *REPORT_FIELDS, "directrix"]
+
+
 def _report_row(report: ScrollReport) -> dict:
-    return {
-        "base": format_base(report.base),
-        "span": report.span,
-        "degree": report.degree,
-        "genus": report.genus,
-        "h1": report.h1,
-        "special": report.special,
-        "directrix": "; ".join(f"C^{d}_{report.genus} in P^{a}"
-                               for a, d in report.directrix),
-    }
+    return {"base": format_base(report.base),
+            **{field: getattr(report, field) for field in REPORT_FIELDS},
+            "directrix": "; ".join(f"C^{d}_{report.genus} in P^{a}"
+                                   for a, d in report.directrix)}
 
 
 def _report_json(report: ScrollReport) -> dict:
     (ambient, dims), genus = report.base, report.genus
-    return {"ambient": ambient, "dims": list(dims), "span": report.span,
-            "degree": report.degree, "genus": genus, "h1": report.h1,
-            "special": report.special,
+    return {"ambient": ambient, "dims": list(dims),
+            **{field: getattr(report, field) for field in REPORT_FIELDS},
             "directrix": [{"space_dim": a, "curve_degree": d, "curve_genus": genus}
                           for a, d in report.directrix]}
-
-
-REPORT_COLUMNS = ["base", "span", "degree", "genus", "h1", "special", "directrix"]
 
 
 def _parse_int(text: str) -> int:
@@ -111,7 +107,16 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse dimension list {text!r}") from None
 
 
+# the largest enumerate -n whose process peaks under 1 GiB: 900 MiB at 26 in
+# md, about 1.25 GiB extrapolated at 27 (Python 3.11, x86-64); the number of
+# bases, and so the memory, grows with n
+MAX_ENUMERATE_AMBIENT = 26
+
+
 def cmd_enumerate(args: argparse.Namespace) -> str:
+    if args.ambient > MAX_ENUMERATE_AMBIENT:
+        raise ValueError(f"input too large: enumerate -n is capped at "
+                         f"{MAX_ENUMERATE_AMBIENT}, got {args.ambient}")
     dim, genus = args.contains_dim, args.genus
     reports = [report for base in enumerate_bases(args.ambient)
                # a base point sweeps a plane pencil, not a surface scroll
@@ -154,14 +159,9 @@ def cmd_analyze(args: argparse.Namespace) -> str:
     return f"{text}\n{_render_witness(table)}" if table else text
 
 
-TABLE_COLUMNS = ["scroll", "base", "degree", "genus", "directrix", "star",
-                 "engine", "status"]
-
-
 def cmd_table(args: argparse.Namespace) -> str:
     from . import closed_forms  # only this command reads the table fixtures
     rows = []
-    deviations = 0
     for table_row in closed_forms.table(args.id):
         record, printed = table_row.record, table_row.printed_directrix
         report, base = classify(record.base), format_base(record.base)
@@ -185,7 +185,6 @@ def cmd_table(args: argparse.Namespace) -> str:
                 f"directrix {engine_dir} vs printed {printed} (printed directrix "
                 f"degree {printed} disagrees with the closed form and the cycle "
                 f"product (both give {engine_dir}); suspected misprint)")
-        deviations += bool(problems)
         rows.append({
             "scroll": f"R^{table_row.printed_degree}_{table_row.printed_genus} "
                       f"in P^{record.base.ambient}",
@@ -197,7 +196,8 @@ def cmd_table(args: argparse.Namespace) -> str:
             "engine": engine,
             "status": "DEVIATION: " + "; ".join(problems) if problems else "ok",
         })
-    text = _render_rows(rows, TABLE_COLUMNS, args.format)
+    text = _render_rows(rows, list(rows[0]), args.format)  # every table has rows
+    deviations = sum(row["status"] != "ok" for row in rows)
     if deviations and args.format not in ("json", "csv"):
         text += f"\n# {deviations} deviation(s) against the printed table"
     return text
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--contains-dim", type=_parse_int, default=None)
     p_enum.add_argument("--genus", type=_parse_int, default=None)
     p_enum.add_argument("--force", action="store_true",
-                        help="accepted and ignored: enumerate has no ambient cap")
+                        help="accepted and ignored; it does not lift the -n cap")
     add_common(p_enum)
 
     p_analyze = sub.add_parser("analyze", help="classify one base")

@@ -132,17 +132,15 @@ def node_table(root: DegenerationNode) -> dict:
     """
     ids: dict[IncidenceBase, int] = {}
     nodes: list[dict] = []
-    stack = [root]
+    stack = [(root, False)]
     while stack:
-        node = stack[-1]
+        node, expanded = stack.pop()
         if node.base in ids:
-            stack.pop()
             continue
-        pending = [child for child in node.children if child.base not in ids]
-        if pending:
-            stack.extend(reversed(pending))
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
             continue
-        stack.pop()
         row = {"id": len(nodes), "base": format_base(node.base),
                "action": node.action, "degree": node.degree,
                "genus": node.genus}

@@ -133,12 +133,24 @@ class TestEnumerate:
             0, "| base | span | degree | genus | h1 | special | directrix |\n"
                "|------|------|--------|-------|----|---------|-----------|\n", "")
 
-    def test_no_ambient_cap(self, capsys):
+    def test_ambient_cap(self, capsys):
         code, out, err = run(capsys, "enumerate", "-n", "13")
         assert (code, err) == (0, "")
         assert len(body_rows(out)) == 1060
-        # --force is still accepted, and changes nothing
+        # --force is still accepted, changes nothing and does not lift the cap
         assert run(capsys, "enumerate", "-n", "13", "--force") == (0, out, "")
+        assert run(capsys, "enumerate", "-n", "27", "--force") == (
+            2, "", "error: input too large: enumerate -n is capped at 26, got 27\n")
+
+    @pytest.mark.parametrize("n", ["200", str(10**30)])
+    def test_cap_comes_before_any_allocation(self, n):
+        # no address-space limit: past the cap, enumerate_bases would grow
+        # until the host runs out of memory; the timeout kills such a process
+        proc = subprocess.run(
+            [sys.executable, "-m", "incidence_scrolls.cli", "enumerate", "-n", n],
+            env=checkout_env(), capture_output=True, text=True, timeout=1)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: input too large: enumerate -n is capped at 26, got {n}\n"
 
     def test_small_ambient_rejected(self, capsys):
         assert run(capsys, "enumerate", "-n", "2") == \
@@ -523,13 +535,12 @@ class TestCommands:
         # invalid input, never a traceback
         small = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(
             ["", "x", "+3", " 3", "0_3", "\u0663", "3.0", "-", "1,2"]))
-        # enumerate -n has no cap, so 10**30 is never its ambient
         number = st.one_of(small, st.just(str(10**30)))
         dims = st.lists(number, min_size=1, max_size=8).map(",".join)
         fmt = st.sampled_from(["text", "json", "csv", "md", "xml", ""])
         command = data.draw(st.sampled_from(list(cli.COMMANDS)))
         if command == "enumerate":
-            argv = ["enumerate", "-n", data.draw(small)]
+            argv = ["enumerate", "-n", data.draw(number)]
             for option in data.draw(st.sets(st.sampled_from(
                     ["--nondegenerate", "--contains-dim", "--genus", "--force"]))):
                 argv.append(option)

@@ -64,12 +64,11 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
         csv.writer(buf, lineterminator="\n").writerows(grid)
         return buf.getvalue().rstrip("\n")
     widths = [max(map(len, column)) for column in zip(*grid)]
-    padded = [[cell.ljust(w) for cell, w in zip(line, widths)] for line in grid]
+    sep, frame = ("  ", "{}") if fmt == "text" else (" | ", "| {} |")
+    lines = [frame.format(sep.join(map(str.ljust, line, widths))) for line in grid]
     if fmt == "md":
-        lines = ["| " + " | ".join(line) + " |" for line in padded]
         lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
-        return "\n".join(lines)
-    return "\n".join("  ".join(line) for line in padded)
+    return "\n".join(lines)
 
 
 # the scalar fields of a report, in their output order in every format
@@ -107,8 +106,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse dimension list {text!r}") from None
 
 
-# the largest enumerate -n whose process peaks under 1 GiB: 900 MiB at 26 in
-# md, about 1.25 GiB extrapolated at 27 (Python 3.11, x86-64); the number of
+# the largest enumerate -n whose process peaks under 1 GiB: 736 MiB at 26 in
+# json, about 1.0 GiB extrapolated at 27 (Python 3.11, x86-64); the number of
 # bases, and so the memory, grows with n
 MAX_ENUMERATE_AMBIENT = 26
 
@@ -118,14 +117,14 @@ def cmd_enumerate(args: argparse.Namespace) -> str:
         raise ValueError(f"input too large: enumerate -n is capped at "
                          f"{MAX_ENUMERATE_AMBIENT}, got {args.ambient}")
     dim, genus = args.contains_dim, args.genus
-    reports = [report for base in enumerate_bases(args.ambient)
-               # a base point sweeps a plane pencil, not a surface scroll
-               if (dim == 0 or 0 not in base.dims)
-               and (dim is None or dim in base.dims)
-               and (is_nondegenerate(base) or not args.nondegenerate)
-               for report in [classify(base)]
-               if genus is None or report.genus == genus]
-    return _render_rows([_report_row(r) for r in reports], REPORT_COLUMNS, args.format)
+    rows = [_report_row(report) for base in enumerate_bases(args.ambient)
+            # a base point sweeps a plane pencil, not a surface scroll
+            if (dim == 0 or 0 not in base.dims)
+            and (dim is None or dim in base.dims)
+            and (is_nondegenerate(base) or not args.nondegenerate)
+            for report in [classify(base)]
+            if genus is None or report.genus == genus]
+    return _render_rows(rows, REPORT_COLUMNS, args.format)
 
 
 def _render_witness(table: dict) -> str:

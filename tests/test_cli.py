@@ -10,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from incidence_scrolls import cli, closed_forms, invariants
 from incidence_scrolls.bases import enumerate_bases, format_base, is_nondegenerate
-from incidence_scrolls.cli import _render_rows, main
+from incidence_scrolls.cli import REPORT_COLUMNS, _render_rows, _report_row, main
 from incidence_scrolls.invariants import classify
 from golden_replay import GOLDEN, replay
 from oracles import checkout_env, run_optimized
@@ -226,6 +227,19 @@ class TestGrid:
         for line, row in zip(body, rows):
             cells = [str(row[c]) for c in columns]
             assert [line[o:o + len(cell)] for o, cell in zip(offsets, cells)] == cells
+
+    @pytest.mark.parametrize("fmt", ["text", "md"])
+    def test_render_memory(self, fmt):
+        # the cells and the finished lines come to about 3.7 times the output
+        # on these rows; one more full copy of the cells passes 4.5
+        rows = [_report_row(classify(b)) for b in enumerate_bases(13)]
+        tracemalloc.start()
+        try:
+            out = _render_rows(rows, REPORT_COLUMNS, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * len(out)
 
 
 class TestGoldenStdout:

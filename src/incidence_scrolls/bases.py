@@ -102,21 +102,16 @@ def is_nondegenerate(base: IncidenceBase) -> bool:
     return len(dims) < 2 or dims[0] + dims[1] >= ambient - 1
 
 
-JoinResult = namedtuple("JoinResult", "dot ddot m")
-JoinResult.__doc__ = """The two components of `join(base)`, `dot` in the ambient and
-`ddot` in the hyperplane, and the dimension m of the joined pair's meet."""
-
-
-def join(base: IncidenceBase) -> JoinResult:
+def join(base: IncidenceBase) -> tuple[IncidenceBase, IncidenceBase]:
     """Specialize the two smallest base spaces, base.dims[:2], into a common
-    hyperplane.
+    hyperplane, and return the pair (dot, ddot) of the scroll's components.
 
-    The scroll breaks into a component with base (pair replaced by their
-    intersection P^m) in the same ambient, and a component inside the
-    hyperplane whose other spaces are cut down by one dimension.  As
-    d1 <= n - 2, m = d0 + d1 - n + 1 < d0 <= d2: P^m is the smallest space
-    of `dot`.  Raises ValueError on a base with fewer than two spaces or a
-    degenerate one (m < 0), as is every other base with a point.
+    `dot` has the base with the pair replaced by their intersection P^m, in
+    the same ambient; `ddot` lies inside the hyperplane, with the other
+    spaces cut down by one dimension.  As d1 <= n - 2,
+    m = d0 + d1 - n + 1 < d0 <= d2: P^m is the smallest space of `dot`, so
+    m is dot.dims[0].  Raises ValueError on a base with fewer than two
+    spaces or a degenerate one (m < 0), as is every other base with a point.
     """
     n, dims = base
     if len(dims) < 2:
@@ -127,8 +122,8 @@ def join(base: IncidenceBase) -> JoinResult:
         raise ValueError(f"P^{d0} and P^{d1} of {format_base(base)} already lie "
                          f"in a hyperplane of P^{n} generically")
     others = dims[2:]
-    return JoinResult(_derived(n, (m,) + others, "join"), _derived(
-        n - 1, sorted([d - 1 for d in others] + [d0, d1]), "join"), m)
+    return (_derived(n, (m,) + others, "join"),
+            _derived(n - 1, sorted([d - 1 for d in others] + [d0, d1]), "join"))
 
 
 def restrict_to_span(base: IncidenceBase) -> IncidenceBase:

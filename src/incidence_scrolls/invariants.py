@@ -20,7 +20,6 @@ from . import grassmann
 from .bases import (
     IncidenceBase,
     InvariantError,
-    JoinResult,
     format_base,
     is_nondegenerate,
     join,
@@ -40,28 +39,28 @@ def degree(base: IncidenceBase) -> int:
     return grassmann._point_coefficient(n, dims + (n - 2,))
 
 
-def kappa(parts: JoinResult) -> int:
-    """Number of generators shared by the two components of a join.
+def kappa(dot: IncidenceBase) -> int:
+    """Number of generators shared by the two components of a join, from its
+    `dot` component, join(base)[0].
 
     A common generator lies in the hyperplane, passes through the P^m cut
     out by the pair, and meets the trace of every other base space.  Those
-    are the spaces of the `dot` component: P^m first, then the others, each
-    cut down by one, so the key stays sorted; the count is their
-    intersection number one ambient down.
+    are the spaces of `dot`: P^m first, then the others, each cut down by
+    one, so the key stays sorted; the count is their intersection number one
+    ambient down.
     """
-    (n, dims), _, m = parts
-    value = grassmann._point_coefficient(n - 1, (m, *[d - 1 for d in dims[1:]]))
+    n, dims = dot
+    value = grassmann._point_coefficient(n - 1, (dims[0], *[d - 1 for d in dims[1:]]))
     if value < 1:
         raise InvariantError(f"kappa must be positive, got {value}")
     return value
 
 
-DegenerationNode = namedtuple(
-    "DegenerationNode", "base action degree genus m kappa children",
-    defaults=(None, None, ()))
+DegenerationNode = namedtuple("DegenerationNode", "base degree genus children")
 DegenerationNode.__doc__ = """One step of the genus recursion, with exact degree/genus
-bookkeeping; action is "leaf", "restrict" or "join".  A join joins the two
-smallest spaces of its base, base.dims[:2], which meet in a P^m."""
+bookkeeping.  A leaf has no children, a restriction has one and a join has
+two, its components (dot, ddot): it joins the two smallest spaces of its
+base, base.dims[:2], which meet in the P^m of dot.base.dims[0]."""
 
 
 def _tree(base: IncidenceBase):
@@ -76,20 +75,18 @@ def _tree(base: IncidenceBase):
     """
     if 0 in base.dims:
         # a point in the base sweeps a plane pencil
-        return DegenerationNode(base, "leaf", 1, 0)
+        return DegenerationNode(base, 1, 0, ())
     if not is_nondegenerate(base):
         child = yield restrict_to_span(base)
-        return DegenerationNode(base, "restrict", child.degree, child.genus,
-                                children=(child,))
-    parts = join(base)
-    shared = kappa(parts)
-    if parts.m == 0 and shared != 1:
+        return DegenerationNode(base, child.degree, child.genus, (child,))
+    dot, ddot = join(base)
+    shared = kappa(dot)
+    if dot.dims[0] == 0 and shared != 1:
         raise InvariantError(f"m=0 join must share one generator, got {shared}")
-    dot = yield parts.dot
-    ddot = yield parts.ddot
-    return DegenerationNode(base, "join", dot.degree + ddot.degree,
-                            dot.genus + ddot.genus + shared - 1,
-                            parts.m, shared, (dot, ddot))
+    dot = yield dot  # each component base is replaced by its node
+    ddot = yield ddot
+    return DegenerationNode(base, dot.degree + ddot.degree,
+                            dot.genus + ddot.genus + shared - 1, (dot, ddot))
 
 
 _nodes: dict[IncidenceBase, DegenerationNode] = {}
@@ -127,8 +124,10 @@ def node_table(root: DegenerationNode) -> dict:
     Rows are in topological order: children before parents, the root last,
     and a row's id is its index.  Every row has id, base, action, degree,
     genus and the ids of its children; a join row also has the dimensions
-    of the joined pair, m and kappa.  The table grows with the number of
-    distinct sub-bases, while the expanded tree can be exponentially larger.
+    of the joined pair, m and kappa.  Action, m and kappa are read off the
+    children: their number, dot's smallest space, g = g1 + g2 + kappa - 1.
+    The table grows with the number of distinct sub-bases, while the
+    expanded tree can be exponentially larger.
     """
     ids: dict[IncidenceBase, int] = {}
     nodes: list[dict] = []
@@ -142,12 +141,13 @@ def node_table(root: DegenerationNode) -> dict:
             stack.extend((child, False) for child in reversed(node.children))
             continue
         row = {"id": len(nodes), "base": format_base(node.base),
-               "action": node.action, "degree": node.degree,
-               "genus": node.genus}
-        if node.action == "join":
+               "action": ("leaf", "restrict", "join")[len(node.children)],
+               "degree": node.degree, "genus": node.genus}
+        if len(node.children) == 2:
+            dot, ddot = node.children
             row["pair"] = list(node.base.dims[:2])
-            row["m"] = node.m
-            row["kappa"] = node.kappa
+            row["m"] = dot.base.dims[0]
+            row["kappa"] = node.genus - dot.genus - ddot.genus + 1
         row["children"] = [ids[child.base] for child in node.children]
         ids[node.base] = row["id"]
         nodes.append(row)
@@ -170,22 +170,7 @@ def directrix_degree(base: IncidenceBase, a: int) -> int:
     return grassmann._point_coefficient(n, dims[:first] + (a - 1,) + dims[first + 1:])
 
 
-def speciality(n: int, d: int, g: int) -> int:
-    """Speciality index h1 = n - d + 2g - 1 of a linearly normal scroll in P^n.
-
-    A negative index raises InvariantError: from a checked base only a fault
-    in the engine's degree or genus can produce one.
-    """
-    h1 = n - d + 2 * g - 1
-    if h1 < 0:
-        raise InvariantError(
-            f"negative speciality h1={h1} for (n={n}, d={d}, g={g}); "
-            f"scroll cannot be linearly normal")
-    return h1
-
-
-class ScrollReport(namedtuple(
-        "ScrollReport", "base span degree genus h1 directrix")):
+class ScrollReport(namedtuple("ScrollReport", "base span degree genus directrix")):
     """Full classification record of the incidence scroll of one base.
 
     directrix holds one (space_dim, curve_degree) pair per distinct nonzero
@@ -195,6 +180,11 @@ class ScrollReport(namedtuple(
     """
 
     __slots__ = ()
+
+    @property
+    def h1(self) -> int:
+        """Speciality index h1 = s - d + 2g - 1, the scroll linearly normal in P^s."""
+        return self.span - self.degree + 2 * self.genus - 1
 
     @property
     def special(self) -> bool:
@@ -214,7 +204,7 @@ def classify(base: IncidenceBase) -> ScrollReport:
 
     # the witness restricted a degenerate point-free root; a leaf with two or
     # more spaces is degenerate too, and a join root is its own restriction
-    restricted = (node.children[0].base if node.action == "restrict"
+    restricted = (node.children[0].base if len(node.children) == 1
                   else restrict_to_span(base))
     span, effective = restricted
     # adjunction on the curve of lines of r spaces in P^s, e_a the directrix
@@ -233,4 +223,9 @@ def classify(base: IncidenceBase) -> ScrollReport:
     if twice != 2 * g - 2:
         raise InvariantError(f"adjunction gives 2g - 2 = {twice}, not the degeneration "
                              f"genus {g}, for {format_base(base)}")
-    return ScrollReport(base, span, d, g, speciality(span, d, g), tuple(directrix))
+    report = ScrollReport(base, span, d, g, tuple(directrix))
+    # from a checked base only a fault in the degree or genus makes h1 < 0
+    if report.h1 < 0:
+        raise InvariantError(f"negative speciality h1={report.h1} for (n={span}, d={d}, "
+                             f"g={g}); scroll cannot be linearly normal")
+    return report

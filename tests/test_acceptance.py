@@ -135,13 +135,18 @@ def test_criterion_6_catalan_oracle():
 def test_criterion_7_degeneration_bookkeeping():
     with criterion(7, "degeneration bookkeeping, exhaustive pair sweep"):
         def check(node):
-            if node.action == "join":
+            if len(node.children) == 2:
+                # a join: m and kappa are read off its components
                 dot, ddot = node.children
-                assert node.kappa >= 1
-                if node.m == 0:
-                    assert node.kappa == 1
+                n, dims = node.base
+                m = dot.base.dims[0]
+                assert m == dims[0] + dims[1] - n + 1
+                shared = kappa(dot.base)
+                assert shared >= 1
+                if m == 0:
+                    assert shared == 1
                 assert node.degree == dot.degree + ddot.degree
-                assert node.genus == dot.genus + ddot.genus + node.kappa - 1
+                assert node.genus == dot.genus + ddot.genus + shared - 1
             for child in node.children:
                 check(child)
 
@@ -152,8 +157,8 @@ def test_criterion_7_degeneration_bookkeeping():
             for base in nondegenerate_bases(n):
                 reference = degeneration_tree(base)
                 check(reference)
-                parts = join(base)
-                assert forced_join(base, 0, 1) == (parts, kappa(parts))
+                dot, ddot = join(base)
+                assert forced_join(base, 0, 1) == ((dot, ddot, dot.dims[0]), kappa(dot))
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
                     (dot, ddot, m), shared = forced_join(base, i, j)
                     assert shared >= 1
@@ -201,7 +206,8 @@ def test_criterion_9_round_trip_and_restrict():
                     di, dj = base.dims[i], base.dims[j]
                     if lifted.dims[:2] == (di, dj):
                         routes["join"] += 1
-                        _, ddot, m = join(lifted)
+                        dot, ddot = join(lifted)
+                        m = dot.dims[0]
                     else:
                         routes["oracle"] += 1
                         li = lifted.dims.index(di)

@@ -192,24 +192,25 @@ class TestEnumeration:
 
 
 class TestJoin:
+    # the meet P^m of the joined pair is the smallest space of dot
     def test_seven_solids(self):
-        result = join(B(5, 3, 3, 3, 3, 3, 3, 3))
-        assert result.m == 2
-        assert result.dot == B(5, 2, 3, 3, 3, 3, 3)
-        assert result.ddot == B(4, 2, 2, 2, 2, 2)
+        dot, ddot = join(B(5, 3, 3, 3, 3, 3, 3, 3))
+        assert dot.dims[0] == 2
+        assert dot == B(5, 2, 3, 3, 3, 3, 3)
+        assert ddot == B(4, 2, 2, 2, 2, 2)
 
     def test_five_planes(self):
-        result = join(B(4, 2, 2, 2, 2, 2))
-        assert result.m == 1
-        assert result.dot == B(4, 1, 2, 2, 2)
-        assert result.ddot == B(3, 1, 1, 1)
+        dot, ddot = join(B(4, 2, 2, 2, 2, 2))
+        assert dot.dims[0] == 1
+        assert dot == B(4, 1, 2, 2, 2)
+        assert ddot == B(3, 1, 1, 1)
 
     def test_m_zero(self):
         base = B(7, 2, 4, 4, 4, 5)
-        result = join(base)
-        assert result.m == 0
-        assert result.dot == B(7, 0, 4, 4, 5)
-        assert result.ddot == B(6, 2, 3, 3, 4, 4)
+        dot, ddot = join(base)
+        assert dot.dims[0] == 0
+        assert dot == B(7, 0, 4, 4, 5)
+        assert ddot == B(6, 2, 3, 3, 4, 4)
 
     def test_no_specialization(self):
         with pytest.raises(ValueError, match=r"^P\^2 and P\^2 of n=6 dims=2,2,3,4 already "
@@ -236,9 +237,9 @@ class TestJoin:
                     (dot, ddot, _), _ = forced_join(base, i, j)
                     assert satisfies_is(dot)
                     assert satisfies_is(ddot)
-                result = join(base)
-                assert satisfies_is(result.dot)
-                assert satisfies_is(result.ddot)
+                dot, ddot = join(base)
+                assert satisfies_is(dot)
+                assert satisfies_is(ddot)
 
 
 class TestSeparate:
@@ -261,7 +262,8 @@ class TestSeparate:
                     di, dj = base.dims[i], base.dims[j]
                     if lifted.dims[:2] == (di, dj):
                         routes["join"] += 1
-                        _, ddot, m = join(lifted)
+                        dot, ddot = join(lifted)
+                        m = dot.dims[0]
                     else:
                         routes["oracle"] += 1
                         li = lifted.dims.index(di)

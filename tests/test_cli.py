@@ -596,7 +596,7 @@ class TestExitCodes:
         # kappa + 1 on the joins with m > 0: every degree holds, the genus does not
         shared = invariants.kappa
         monkeypatch.setattr(invariants, "kappa",
-                            lambda parts: shared(parts) + (parts.m > 0))
+                            lambda dot: shared(dot) + (dot.dims[0] > 0))
         assert run(capsys, "analyze", "-n", "5", "--base", "3,3,3,3,3,3,3") == (
             4, "", "error: adjunction gives 2g - 2 = 14, not the degeneration "
             "genus 12, for n=5 dims=3,3,3,3,3,3,3\n")

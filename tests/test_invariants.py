@@ -29,7 +29,6 @@ from incidence_scrolls.invariants import (
     directrix_degree,
     kappa,
     node_table,
-    speciality,
 )
 from oracles import (
     B,
@@ -51,8 +50,9 @@ def check_witness(base, table):
     """Re-verify every row of a witness node table from local arithmetic only.
 
     Each join row must join the two smallest spaces of its base, recorded as
-    its pair, and list exactly the two bases `join` makes of them, with the
-    recorded m and kappa; each restrict row the base
+    its pair, and list exactly the two bases `join` makes of them, with m
+    the dimension of the pair's meet and kappa the kernel's count on the
+    first of them; each restrict row the base
     `restrict_to_span` makes; degrees and genera must add up row by row, and
     the root's degree must be the ring degree of `base`.
     """
@@ -75,12 +75,13 @@ def check_witness(base, table):
         else:
             assert row["action"] == "join"
             assert row["pair"] == list(node_base.dims[:2])
-            result = join(node_base)
+            dot_base, ddot_base = join(node_base)
             dot, ddot = children
             assert [dot["base"], ddot["base"]] == \
-                [format_base(result.dot), format_base(result.ddot)]
-            assert row["m"] == result.m
-            assert row["kappa"] == kappa(result)
+                [format_base(dot_base), format_base(ddot_base)]
+            d0, d1 = row["pair"]
+            assert row["m"] == d0 + d1 - node_base.ambient + 1 == dot_base.dims[0]
+            assert row["kappa"] == kappa(dot_base)
             assert d == dot["degree"] + ddot["degree"]
             assert g == dot["genus"] + ddot["genus"] + row["kappa"] - 1
     root = nodes[table["root"]]
@@ -104,7 +105,12 @@ def forced_invariants(base, i, j):
 
 
 def node_table_oracle(root):
-    """node_table by recursion, one interpreter frame per level of the witness."""
+    """node_table by recursion, one interpreter frame per level of the witness.
+
+    A node's action is read off its number of children, and a join's m and
+    kappa off its first component: its smallest space and the kernel's
+    count on it.
+    """
     ids = {}
     nodes = []
 
@@ -112,12 +118,13 @@ def node_table_oracle(root):
         if node.base not in ids:
             children = [visit(child) for child in node.children]
             row = {"id": len(nodes), "base": format_base(node.base),
-                   "action": node.action, "degree": node.degree,
-                   "genus": node.genus}
-            if node.action == "join":
+                   "action": ["leaf", "restrict", "join"][len(children)],
+                   "degree": node.degree, "genus": node.genus}
+            if len(children) == 2:
+                dot = node.children[0].base
                 row["pair"] = list(node.base.dims[:2])
-                row["m"] = node.m
-                row["kappa"] = node.kappa
+                row["m"] = dot.dims[0]
+                row["kappa"] = kappa(dot)
             row["children"] = children
             ids[node.base] = row["id"]
             nodes.append(row)
@@ -154,26 +161,27 @@ class TestDegree:
 
 
 class TestKappa:
-    """kappa takes the result of `join`, which refuses a degenerate base."""
+    """kappa takes the first component of `join`, which refuses a degenerate
+    base."""
 
     def test_seven_solids(self):
-        assert kappa(join(B(5, 3, 3, 3, 3, 3, 3, 3))) == 5
+        assert kappa(join(B(5, 3, 3, 3, 3, 3, 3, 3))[0]) == 5
 
     def test_m_zero_forces_one(self):
         base = B(6, 2, 3, 3, 4, 4)
         assert base.dims[0] + base.dims[1] - base.ambient + 1 == 0
-        assert kappa(join(base)) == 1
+        assert kappa(join(base)[0]) == 1
 
     def test_five_planes(self):
-        assert kappa(join(B(4, 2, 2, 2, 2, 2))) == 2
+        assert kappa(join(B(4, 2, 2, 2, 2, 2))[0]) == 2
 
     def test_inadmissible_pair(self):
         with pytest.raises(ValueError):
-            kappa(join(B(6, 2, 2, 3, 4)))  # m = 2+2-6+1 < 0
+            kappa(join(B(6, 2, 2, 3, 4))[0])  # m = 2+2-6+1 < 0
 
     def test_point_cannot_be_pushed(self):
         with pytest.raises(ValueError, match=r"^P\^0 and P\^2 of n=4 dims=0,2,2 "):
-            kappa(join(B(4, 0, 2, 2)))
+            kappa(join(B(4, 0, 2, 2))[0])
 
 
 class TestForcedJoinOracle:
@@ -183,12 +191,12 @@ class TestForcedJoinOracle:
     @staticmethod
     def assert_agrees(base):
         try:
-            parts = join(base)
+            dot, ddot = join(base)
         except ValueError:
             with pytest.raises(ValueError):
                 forced_join(base, 0, 1)
         else:
-            assert forced_join(base, 0, 1) == (parts, kappa(parts))
+            assert forced_join(base, 0, 1) == ((dot, ddot, dot.dims[0]), kappa(dot))
 
     def test_every_base(self):
         bases = [base for n in range(3, 10)
@@ -231,36 +239,42 @@ class TestGenus:
     def test_degenerate_base(self):
         # {P^2, P^2, P^3, P^4} in P^6 spans only a P^5
         node = degeneration_tree(B(6, 2, 2, 3, 4))
-        assert node.action == "restrict"
+        assert len(node.children) == 1  # a restriction
         assert node.genus == degeneration_tree(B(5, 2, 2, 2, 3)).genus == 0
 
 
 class TestDegenerationTree:
     def test_worked_example(self):
         node = degeneration_tree(B(6, 2, 3, 3, 4, 4))
-        assert node.action == "join"
-        assert node_table(node)["nodes"][-1]["pair"] == [2, 3]
-        assert node.m == 0 and node.kappa == 1
+        root = node_table(node)["nodes"][-1]
+        assert root["action"] == "join" and root["pair"] == [2, 3]
+        assert root["m"] == 0 and root["kappa"] == 1
         assert (node.degree, node.genus) == (7, 1)
         dot, ddot = node.children
-        assert dot.base == B(6, 0, 3, 4, 4) and dot.action == "leaf"
+        assert dot.base == B(6, 0, 3, 4, 4) and dot.children == ()
+        assert kappa(dot.base) == 1
         assert ddot.base == B(5, 2, 2, 3, 3, 3)
 
     def test_leaf_cases(self):
         leaf = degeneration_tree(B(3, 0, 1))
-        assert leaf.action == "leaf"
+        assert leaf.children == ()
         assert (leaf.degree, leaf.genus) == (1, 0)
 
     def test_bookkeeping_invariants(self):
         def walk(node):
-            if node.action == "join":
+            if len(node.children) == 2:
+                # a join: m and kappa are read off its components
                 dot, ddot = node.children
+                n, dims = node.base
+                m = dot.base.dims[0]
+                assert m == dims[0] + dims[1] - n + 1
+                shared = kappa(dot.base)
                 assert node.degree == dot.degree + ddot.degree
-                assert node.genus == dot.genus + ddot.genus + node.kappa - 1
-                assert node.kappa >= 1
-                if node.m == 0:
-                    assert node.kappa == 1
-            elif node.action == "restrict":
+                assert node.genus == dot.genus + ddot.genus + shared - 1
+                assert shared >= 1
+                if m == 0:
+                    assert shared == 1
+            elif node.children:
                 (child,) = node.children
                 assert (node.degree, node.genus) == (child.degree, child.genus)
             else:
@@ -423,8 +437,8 @@ class TestEngineSeams:
         assert all(calls.values()), calls
 
     def test_one_pair_per_join_step(self, monkeypatch):
-        # kappa reads its key off join's result, so the enumerate -n 13 sweep
-        # joins each of its 1532 pairs once
+        # kappa reads its key off join's first component, so the enumerate
+        # -n 13 sweep joins each of its 1532 pairs once
         calls = []
 
         def counted(base):
@@ -434,7 +448,7 @@ class TestEngineSeams:
         monkeypatch.setattr(invariants, "join", counted)
         for base in enumerate_bases(13):
             classify(base)
-        joins = [node for node in invariants._nodes.values() if node.action == "join"]
+        joins = [node for node in invariants._nodes.values() if len(node.children) == 2]
         assert len(calls) == len(joins) == 1532
 
 
@@ -480,10 +494,11 @@ class TestSortedKernelKeys:
         # P^m, the smallest space of the join's first component, leads the key
         effective = restrict_to_span(base)
         assume(0 not in effective.dims)
-        keys = sent_keys(lambda: kappa(join(effective)))
+        dot, _ = join(effective)
+        keys = sent_keys(lambda: kappa(dot))
         assert_sorted(keys)
         (_, hs), = keys
-        assert hs[0] == join(effective).m
+        assert hs[0] == dot.dims[0] == sum(effective.dims[:2]) - effective.ambient + 1
 
     @pytest.mark.parametrize("bases", [
         [base for n in range(3, 13) for base in enumerate_bases(n)],
@@ -494,18 +509,57 @@ class TestSortedKernelKeys:
             assert_one_directrix_per_dimension(base)
 
 
+def h1(n, d, g):
+    """The speciality property of a report that spans P^n with degree d and genus g."""
+    return ScrollReport(base=None, span=n, degree=d, genus=g, directrix=()).h1
+
+
+class NegativeSpeciality(ScrollReport):
+    """A report whose speciality reads -3 whatever it stores."""
+
+    __slots__ = ()
+    h1 = -3
+
+
+NEGATIVE_SPECIALITY = """
+import sys
+from incidence_scrolls import cli, invariants
+
+
+class NegativeSpeciality(invariants.ScrollReport):
+    __slots__ = ()
+    h1 = -3
+
+
+invariants.ScrollReport = NegativeSpeciality
+sys.exit(cli.main(["analyze", "-n", "4", "--base", "1,2,2,2"]))
+"""
+
+
 class TestSpeciality:
     def test_nonspecial(self):
-        assert speciality(4, 3, 0) == 0
-        assert speciality(5, 6, 1) == 0
+        assert h1(4, 3, 0) == 0
+        assert h1(5, 6, 1) == 0
 
     def test_special(self):
-        assert speciality(5, 9, 3) == 1
-        assert speciality(5, 14, 8) == 6
+        assert h1(5, 9, 3) == 1
+        assert h1(5, 14, 8) == 6
 
-    def test_negative_rejected(self):
-        with pytest.raises(InvariantError, match="negative speciality h1=-3"):
-            speciality(3, 5, 0)
+    def test_negative_value(self):
+        assert h1(3, 5, 0) == -3
+
+    def test_negative_rejected(self, monkeypatch):
+        # from a checked base only a faulty degree or genus gives h1 < 0
+        monkeypatch.setattr(invariants, "ScrollReport", NegativeSpeciality)
+        with pytest.raises(InvariantError, match=r"^negative speciality h1=-3 for "
+                           r"\(n=4, d=3, g=0\); scroll cannot be linearly normal$"):
+            classify(B(4, 1, 2, 2, 2))
+
+    def test_negative_rejected_under_optimize(self):
+        proc = run_optimized("-c", NEGATIVE_SPECIALITY)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == ("error: negative speciality h1=-3 for (n=4, d=3, g=0); "
+                               "scroll cannot be linearly normal\n")
 
 
 class TestClassify:
@@ -558,14 +612,16 @@ class TestClassify:
         check_witness(base, table)
 
     def test_records_store_no_derived_field(self):
-        assert ScrollReport._fields == (
-            "base", "span", "degree", "genus", "h1", "directrix")
-        assert DegenerationNode._fields == (
-            "base", "action", "degree", "genus", "m", "kappa", "children")
+        assert ScrollReport._fields == ("base", "span", "degree", "genus", "directrix")
+        assert DegenerationNode._fields == ("base", "degree", "genus", "children")
         report = classify(B(5, 3, 3, 3, 3, 3, 3, 3))
-        with pytest.raises(AttributeError):
-            report.special = False
-        assert report._replace(h1=0).special is False
+        for derived in ("h1", "special"):
+            with pytest.raises(AttributeError):
+                setattr(report, derived, 0)
+        # h1 = 5 - 14 + 2g - 1 reads 0 at genus 5
+        assert (report.h1, report.special) == (6, True)
+        nonspecial = report._replace(genus=5)
+        assert (nonspecial.h1, nonspecial.special) == (0, False)
 
     def test_report_is_plain_data(self):
         report = classify(B(4, 1, 2, 2, 2))
@@ -694,13 +750,13 @@ class TestCrossChecks:
     def test_kappa_must_be_positive(self, monkeypatch):
         monkeypatch.setattr(grassmann, "_point_coefficient", lambda n, hs: 0)
         base = B(5, 3, 3, 3, 3, 3, 3, 3)
-        for step in (lambda: kappa(join(base)), lambda: degeneration_tree(base),
+        for step in (lambda: kappa(join(base)[0]), lambda: degeneration_tree(base),
                      lambda: classify(base)):
             with pytest.raises(InvariantError, match="kappa must be positive"):
                 step()
 
     def test_m_zero_join_shares_one_generator(self, monkeypatch):
-        monkeypatch.setattr(invariants, "kappa", lambda parts: 2)
+        monkeypatch.setattr(invariants, "kappa", lambda dot: 2)
         with pytest.raises(InvariantError, match="m=0 join must share one"):
             degeneration_tree(B(6, 2, 3, 3, 4, 4))
 
@@ -709,8 +765,8 @@ class TestCrossChecks:
         # genus of the seven solids from 8 to 12 while every degree holds
         shared = invariants.kappa
 
-        def one_more(parts):
-            return shared(parts) + (parts.m > 0)
+        def one_more(dot):
+            return shared(dot) + (dot.dims[0] > 0)
 
         monkeypatch.setattr(invariants, "kappa", one_more)
         base = B(5, 3, 3, 3, 3, 3, 3, 3)
@@ -809,7 +865,8 @@ class TestRandomBases:
             di, dj = base.dims[i], base.dims[j]
             if lifted.dims[:2] == (di, dj):
                 routes["join"] += 1
-                _, ddot, m = join(lifted)
+                dot, ddot = join(lifted)
+                m = dot.dims[0]
             else:
                 routes["oracle"] += 1
                 low = lifted.dims.index(di)

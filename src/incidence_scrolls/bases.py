@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import namedtuple
 
 
@@ -122,8 +122,10 @@ def join(base: IncidenceBase) -> tuple[IncidenceBase, IncidenceBase]:
         raise ValueError(f"P^{d0} and P^{d1} of {format_base(base)} already lie "
                          f"in a hyperplane of P^{n} generically")
     others = dims[2:]
-    return (_derived(n, (m,) + others, "join"),
-            _derived(n - 1, sorted([d - 1 for d in others] + [d0, d1]), "join"))
+    traces = [d - 1 for d in others]  # sorted, as others are
+    insort(traces, d0)
+    insort(traces, d1)
+    return _derived(n, (m,) + others, "join"), _derived(n - 1, traces, "join")
 
 
 def restrict_to_span(base: IncidenceBase) -> IncidenceBase:

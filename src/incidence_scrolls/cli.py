@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import operator
 import os
 import re
 import sys
@@ -54,10 +55,18 @@ from .invariants import (
 )
 
 
-def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
+def _render_rows(rows, columns: list[str], fmt: str) -> str:
+    """Rows of str, int and bool cells in the order of `columns` (no brace in a
+    name).  json is json.dumps([dict(zip(columns, row)) ...], indent=2), but a
+    row at a time: indent makes json run its pure-Python encoder up to 3.12."""
     if fmt == "json":
-        return json.dumps(rows, indent=2)
-    grid = [columns] + [[str(row[c]) for c in columns] for row in rows]
+        esc = json.encoder.encode_basestring_ascii  # json.dumps's C string escaper
+        item = "  {{\n%s\n  }}" % ",\n".join(f"    {esc(c)}: {{}}" for c in columns)
+        items = [item.format(*[esc(v) if isinstance(v, str) else
+                               "true" if v is True else "false" if v is False else v
+                               for v in row]) for row in rows]
+        return "[\n%s\n]" % ",\n".join(items) if items else "[]"
+    grid = [columns] + [[str(cell) for cell in row] for row in rows]
     if fmt == "csv":
         import csv  # only this format needs the module
         buf = io.StringIO()
@@ -74,13 +83,13 @@ def _render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
 # the scalar fields of a report, in their output order in every format
 REPORT_FIELDS = ("span", "degree", "genus", "h1", "special")
 REPORT_COLUMNS = ["base", *REPORT_FIELDS, "directrix"]
+_report_fields = operator.attrgetter(*REPORT_FIELDS)
 
 
-def _report_row(report: ScrollReport) -> dict:
-    return {"base": format_base(report.base),
-            **{field: getattr(report, field) for field in REPORT_FIELDS},
-            "directrix": "; ".join(f"C^{d}_{report.genus} in P^{a}"
-                                   for a, d in report.directrix)}
+def _report_cells(report: ScrollReport) -> tuple:
+    """The values of a report's REPORT_COLUMNS, in their order."""
+    return (format_base(report.base), *_report_fields(report),
+            "; ".join(f"C^{d}_{report.genus} in P^{a}" for a, d in report.directrix))
 
 
 def _report_json(report: ScrollReport) -> dict:
@@ -106,9 +115,9 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse dimension list {text!r}") from None
 
 
-# the largest enumerate -n whose process peaks under 1 GiB: 736 MiB at 26 in
-# json, about 1.0 GiB extrapolated at 27 (Python 3.11, x86-64); the number of
-# bases, and so the memory, grows with n
+# enumerate -n above this is refused, to keep a process under 1 GiB: at 26 it
+# peaks at 506-616 MiB (json lowest, md highest; Python 3.11, x86-64), and the
+# number of bases, and so the memory, grows by 39% to 27
 MAX_ENUMERATE_AMBIENT = 26
 
 
@@ -117,13 +126,13 @@ def cmd_enumerate(args: argparse.Namespace) -> str:
         raise ValueError(f"input too large: enumerate -n is capped at "
                          f"{MAX_ENUMERATE_AMBIENT}, got {args.ambient}")
     dim, genus = args.contains_dim, args.genus
-    rows = [_report_row(report) for base in enumerate_bases(args.ambient)
+    rows = (_report_cells(report) for base in enumerate_bases(args.ambient)
             # a base point sweeps a plane pencil, not a surface scroll
             if (dim == 0 or 0 not in base.dims)
             and (dim is None or dim in base.dims)
             and (is_nondegenerate(base) or not args.nondegenerate)
             for report in [classify(base)]
-            if genus is None or report.genus == genus]
+            if genus is None or report.genus == genus)
     return _render_rows(rows, REPORT_COLUMNS, args.format)
 
 
@@ -154,7 +163,7 @@ def cmd_analyze(args: argparse.Namespace) -> str:
         if table:
             out["tree"] = table
         return json.dumps(out, indent=2)
-    text = _render_rows([_report_row(report)], REPORT_COLUMNS, args.format)
+    text = _render_rows([_report_cells(report)], REPORT_COLUMNS, args.format)
     return f"{text}\n{_render_witness(table)}" if table else text
 
 
@@ -195,7 +204,8 @@ def cmd_table(args: argparse.Namespace) -> str:
             "engine": engine,
             "status": "DEVIATION: " + "; ".join(problems) if problems else "ok",
         })
-    text = _render_rows(rows, list(rows[0]), args.format)  # every table has rows
+    # every table has rows: the first one names the columns
+    text = _render_rows(map(dict.values, rows), list(rows[0]), args.format)
     deviations = sum(row["status"] != "ok" for row in rows)
     if deviations and args.format not in ("json", "csv"):
         text += f"\n# {deviations} deviation(s) against the printed table"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 
 def _check_parameters(n: int, hs: Iterable[int]) -> None:
@@ -23,12 +23,11 @@ def _check_parameters(n: int, hs: Iterable[int]) -> None:
             raise ValueError(f"special parameter {h} out of range [0, {n - 2}]")
 
 
-def _coefficients(n: int, hs: tuple[int, ...]) -> Callable[[int], int]:
-    """Reader k -> [t^k]P, k >= 0, of P = prod(1 + t + ... + t^c_i), hs sorted.
+def _coefficients(n: int, hs: tuple[int, ...]) -> tuple[int, int]:
+    """P = prod(1 + t + ... + t^c_i) at t = 2^b, hs sorted, and b.
 
-    P is one int, at t = 2^b > P(1) = prod(c_i + 1): no b-bit slot carries.
-    b is a whole number of bytes, so slot k is a slice of P's bytes: each read
-    costs its own slot, not a shift of all of P.
+    2^b > P(1) = prod(c_i + 1), so no b-bit slot carries: [t^k]P is slot k
+    of the int.  b is a whole number of bytes.
     """
     runs, whole, start = [], 1, 0  # (c_i + 1, multiplicity) of each run of equal h; P(1)
     while start < len(hs):
@@ -36,14 +35,12 @@ def _coefficients(n: int, hs: tuple[int, ...]) -> Callable[[int], int]:
         runs.append((n - hs[start], end - start))
         whole *= runs[-1][0] ** runs[-1][1]
         start = end
-    size = (whole.bit_length() + 7) // 8  # bytes per slot
-    b = 8 * size
+    b = (whole.bit_length() + 7) // 8 * 8  # bits per slot, whole bytes
     mask = (1 << b) - 1
     p = 1
     for width, count in runs:
         p *= (((1 << b * width) - 1) // mask) ** count
-    raw = p.to_bytes((p.bit_length() + 7) // 8, "little")
-    return lambda k: int.from_bytes(raw[k * size:(k + 1) * size], "little")
+    return p, b
 
 
 def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]:
@@ -58,7 +55,10 @@ def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]
     s = (n - 1) * len(hs) - sum(hs)
     if s > 2 * (n - 1):
         return {}  # past the point class; P would have about S^2 bits
-    slot = _coefficients(n, tuple(sorted(hs)))
+    p, b = _coefficients(n, tuple(sorted(hs)))
+    # slot k is a slice of P's bytes: a read costs its slot, not a shift of P
+    size, raw = b // 8, p.to_bytes((p.bit_length() + 7) // 8, "little")
+    slot = lambda k: int.from_bytes(raw[k * size:(k + 1) * size], "little")
     return {(n - 1 - s + l, n - l): coeff
             for l in range(max(0, s - n + 1), s // 2 + 1)
             if (coeff := slot(l) - (l and slot(l - 1)))}
@@ -77,8 +77,9 @@ def _point_coefficient(n: int, hs: tuple[int, ...]) -> int:
             f"total codimension {total} != dim G(1,{n}) = {2 * (n - 1)}")
     if n < 2 or hs[0] < 0 or hs[-1] > n - 2:  # n >= 2: hs is nonempty
         _check_parameters(n, hs)
-    slot = _coefficients(n, hs)
-    return slot(n - 1) - slot(n - 2)
+    p, b = _coefficients(n, hs)
+    top, mask = p >> b * (n - 2), (1 << b) - 1  # slots n-2 and n-1 at the bottom
+    return (top >> b & mask) - (top & mask)
 
 
 def render(terms: dict[tuple[int, int], int]) -> str:

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 from incidence_scrolls import cli, closed_forms, invariants
 from incidence_scrolls.bases import enumerate_bases, format_base, is_nondegenerate
-from incidence_scrolls.cli import REPORT_COLUMNS, _render_rows, _report_row, main
+from incidence_scrolls.cli import REPORT_COLUMNS, _render_rows, _report_cells, main
 from incidence_scrolls.invariants import classify
 from golden_replay import GOLDEN, replay
-from oracles import checkout_env, run_optimized
+from oracles import checkout_env, random_bases, run_optimized
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -207,7 +207,7 @@ class TestGrid:
     @given(grid_tables())
     def test_csv_reads_back(self, table):
         rows, columns = table
-        out = _render_rows(rows, columns, "csv")
+        out = _render_rows(([row[c] for c in columns] for row in rows), columns, "csv")
         assert list(csv.DictReader(io.StringIO(out, newline=""))) == [
             {c: str(row[c]) for c in columns} for row in rows]
 
@@ -215,7 +215,8 @@ class TestGrid:
     @given(grid_tables(), st.sampled_from(["text", "md"]))
     def test_cells_start_under_their_header(self, table, fmt):
         rows, columns = table
-        lines = _render_rows(rows, columns, fmt).split("\n")
+        lines = _render_rows([[row[c] for c in columns] for row in rows], columns,
+                             fmt).split("\n")
         header, body = lines[0], lines[2 if fmt == "md" else 1:]
         if fmt == "md":
             assert set(lines[1]) == {"|", "-"}
@@ -228,11 +229,20 @@ class TestGrid:
             cells = [str(row[c]) for c in columns]
             assert [line[o:o + len(cell)] for o, cell in zip(offsets, cells)] == cells
 
-    @pytest.mark.parametrize("fmt", ["text", "md"])
+    @settings(max_examples=200, deadline=None)
+    @given(grid_tables())
+    def test_json_is_json_dumps(self, table):
+        # the writer's oracle: json.dumps(indent=2) of the rows as dicts
+        rows, columns = table
+        out = _render_rows(([row[c] for c in columns] for row in rows), columns, "json")
+        assert out == json.dumps([{c: row[c] for c in columns} for row in rows], indent=2)
+
+    @pytest.mark.parametrize("fmt", ["text", "md", "json"])
     def test_render_memory(self, fmt):
         # the cells and the finished lines come to about 3.7 times the output
-        # on these rows; one more full copy of the cells passes 4.5
-        rows = [_report_row(classify(b)) for b in enumerate_bases(13)]
+        # on these rows, json's objects and their join to 3.5; one more full
+        # copy of the cells passes 4.5
+        rows = [_report_cells(classify(b)) for b in enumerate_bases(13)]
         tracemalloc.start()
         try:
             out = _render_rows(rows, REPORT_COLUMNS, fmt)
@@ -240,6 +250,34 @@ class TestGrid:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * len(out)
+
+
+class TestJsonReports:
+    # the json writer against its oracle, json.dumps(indent=2) of each report
+    # as a dict row, the way enumerate once wrote it
+    @staticmethod
+    def oracle(bases):
+        return json.dumps([dict(zip(REPORT_COLUMNS, _report_cells(classify(b))))
+                           for b in bases], indent=2)
+
+    @staticmethod
+    def written(bases):
+        return _render_rows((_report_cells(classify(b)) for b in bases),
+                            REPORT_COLUMNS, "json")
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_every_base(self, n):
+        bases = enumerate_bases(n)  # points too: their directrix string is empty
+        assert self.written(bases) == self.oracle(bases)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(random_bases(max_n=16), max_size=4))
+    def test_drawn_bases(self, bases):
+        assert self.written(bases) == self.oracle(bases)
+
+    def test_no_rows(self, capsys):
+        assert run(capsys, "enumerate", "-n", "6", "--genus", "999",
+                   "--format", "json") == (0, "[]\n", "")
 
 
 class TestGoldenStdout:

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules that the package itself does not need."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,7 +10,16 @@ import pytest
 from hypothesis import strategies as st
 
 from incidence_scrolls import grassmann
-from incidence_scrolls.bases import IncidenceBase, enumerate_bases, is_nondegenerate
+from incidence_scrolls.bases import (
+    IncidenceBase,
+    enumerate_bases,
+    format_base,
+    is_nondegenerate,
+    join,
+    restrict_to_span,
+)
+from incidence_scrolls.closed_forms import p2s, p3s
+from incidence_scrolls.invariants import classify, degeneration_tree, degree, kappa
 
 
 def B(ambient, *dims):
@@ -49,6 +59,24 @@ def sent_keys(steps):
 def nondegenerate_bases(n):
     """The bases of P^n whose scroll spans P^n, in `enumerate_bases` order."""
     return [base for base in enumerate_bases(n) if is_nondegenerate(base)]
+
+
+def nondegenerate_oracle(base):
+    """Every pair of base spaces spans the ambient, trying every pair."""
+    return all(x + y >= base.ambient - 1
+               for x, y in itertools.combinations(base.dims, 2))
+
+
+def brute_force_bases(n):
+    """Independent exhaustion: every multiset of dims in [0, n-2] imposing
+    exactly 2n-3 conditions."""
+    found = set()
+    max_size = 2 * n - 3  # each space imposes at least one condition
+    for size in range(1, max_size + 1):
+        for dims in itertools.combinations_with_replacement(range(n - 1), size):
+            if sum(n - 1 - d for d in dims) == 2 * n - 3:
+                found.add(IncidenceBase(n, dims))
+    return found
 
 
 @st.composite
@@ -140,6 +168,115 @@ def forced_join(base, i, j):
     dot = IncidenceBase(n, [d + 1 for d in traces] + [m])
     ddot = IncidenceBase(n - 1, traces + [di, dj])
     return (dot, ddot, m), point_coefficient(n - 1, traces + [m])
+
+
+def forced_invariants(base, i, j):
+    """Degree and genus of `base` with its first join forced to spaces i, j.
+
+    The two components and the shared generators come from the oracle
+    `forced_join`, their witnesses from `degeneration_tree`, so every join
+    pair of a nondegenerate base must give the engine's own numbers.
+    """
+    (dot, ddot, m), shared = forced_join(base, i, j)
+    assert shared >= 1
+    if m == 0:
+        assert shared == 1
+    dot, ddot = degeneration_tree(dot), degeneration_tree(ddot)
+    return dot.degree + ddot.degree, dot.genus + ddot.genus + shared - 1
+
+
+def separable_pairs(base):
+    """The pairs (i, j), i < j, of spaces of `base` that `separate` takes."""
+    return [(i, j) for i, j in itertools.combinations(range(len(base.dims)), 2)
+            if base.dims[i] + base.dims[j] == base.ambient]
+
+
+def round_trip(base, i, j):
+    """Separate spaces i and j of `base`, join the lifted pair again, and
+    assert that the join meets in a point and gives back `base`.
+
+    The engine joins the lifted pair when it is the two smallest spaces, as
+    on every nondegenerate base; the oracle `forced_join` joins any other
+    pair.  Returns the route taken, "join" or "oracle".
+    """
+    lifted = separate(base, i, j)
+    di, dj = base.dims[i], base.dims[j]
+    if lifted.dims[:2] == (di, dj):
+        route = "join"
+        dot, ddot = join(lifted)
+        m = dot.dims[0]
+    else:
+        route = "oracle"
+        low = lifted.dims.index(di)
+        (_, ddot, m), _ = forced_join(lifted, low, lifted.dims.index(dj, low + 1))
+    assert (m, ddot) == (0, base)
+    return route
+
+
+def check_witness(base, table):
+    """Re-verify every row of a witness node table from local arithmetic only.
+
+    Each join row must join the two smallest spaces of its base, recorded as
+    its pair, and list exactly the two bases `join` makes of them, with m
+    the dimension of the pair's meet and kappa the kernel's count on the
+    first of them, at least 1 and exactly 1 when m = 0; each restrict row
+    the base `restrict_to_span` makes; degrees and genera must add up row
+    by row, and the root's degree must be the ring degree of `base`.
+    """
+    nodes = table["nodes"]
+    assert [row["id"] for row in nodes] == list(range(len(nodes)))
+    assert table["root"] == len(nodes) - 1
+    assert len({row["base"] for row in nodes}) == len(nodes)
+    for row in nodes:
+        node_base = parse_base(row["base"])
+        assert all(child < row["id"] for child in row["children"])
+        children = [nodes[child] for child in row["children"]]
+        d, g = row["degree"], row["genus"]
+        if row["action"] == "leaf":
+            assert children == [] and (d, g) == (1, 0)
+            assert node_base.ambient <= 2 or 0 in node_base.dims
+        elif row["action"] == "restrict":
+            (child,) = children
+            assert child["base"] == format_base(restrict_to_span(node_base))
+            assert (d, g) == (child["degree"], child["genus"])
+        else:
+            assert row["action"] == "join"
+            assert row["pair"] == list(node_base.dims[:2])
+            dot_base, ddot_base = join(node_base)
+            dot, ddot = children
+            assert [dot["base"], ddot["base"]] == \
+                [format_base(dot_base), format_base(ddot_base)]
+            d0, d1 = row["pair"]
+            assert row["m"] == d0 + d1 - node_base.ambient + 1 == dot_base.dims[0]
+            assert row["kappa"] == kappa(dot_base)
+            assert row["kappa"] == 1 if row["m"] == 0 else row["kappa"] >= 1
+            assert d == dot["degree"] + ddot["degree"]
+            assert g == dot["genus"] + ddot["genus"] + row["kappa"] - 1
+    root = nodes[table["root"]]
+    assert root["base"] == format_base(base)
+    assert root["degree"] == degree(base)
+
+
+def plane_records(max_n):
+    for n in range(4, max_n + 1):
+        for i in range(0, n // 2 + 1):
+            yield p2s(n, i)
+
+
+def solid_records(max_n):
+    for n in range(5, max_n + 1):
+        for j in range(0, (n + 1) // 3 + 1):
+            for i in range(0, (n + 1 - 3 * j) // 2 + 1):
+                yield p3s(n, j, i)
+
+
+def assert_engine_agrees(record):
+    """Degree, genus and the fixed space's directrix degree match the engine."""
+    report = classify(record.base)
+    assert (report.degree, report.genus) == (record.degree, record.genus)
+    if is_nondegenerate(record.base):
+        fixed_dim = {"p1s": 1, "p2s": 2, "p3s": 3}[record.family]
+        assert dict(report.directrix)[fixed_dim] == record.directrix_degree
 
 
 def adjunction_genus(base):

@@ -8,18 +8,24 @@ import itertools
 from contextlib import contextmanager, redirect_stdout
 from math import factorial
 
-from incidence_scrolls.bases import (
-    IncidenceBase,
-    enumerate_bases,
-    is_nondegenerate,
-    join,
-    restrict_to_span,
-)
+from incidence_scrolls.bases import IncidenceBase, enumerate_bases, restrict_to_span
 from incidence_scrolls.cli import main
-from incidence_scrolls.closed_forms import p2s, p3s, table
+from incidence_scrolls.closed_forms import table
 from incidence_scrolls.grassmann import product_of_specials
-from incidence_scrolls.invariants import classify, degeneration_tree, kappa
-from oracles import forced_join, nondegenerate_bases, point_coefficient, separate
+from incidence_scrolls.invariants import classify, degeneration_tree, node_table
+from oracles import (
+    assert_engine_agrees,
+    brute_force_bases,
+    check_witness,
+    forced_invariants,
+    nondegenerate_bases,
+    nondegenerate_oracle,
+    plane_records,
+    point_coefficient,
+    round_trip,
+    separable_pairs,
+    solid_records,
+)
 
 
 @contextmanager
@@ -91,25 +97,11 @@ def test_criterion_3_solid_family_table():
 
 
 def test_criterion_4_closed_form_sweeps():
-    with criterion(4, "closed forms vs engine, n <= 12"):
-        for n in range(4, 13):
-            for i in range(0, n // 2 + 1):
-                record = p2s(n, i)
-                assert 2 * record.genus == (n - i - 2) * (n - i - 3)
-                report = classify(record.base)
-                assert (report.degree, report.genus) == \
-                    (record.degree, record.genus)
-                if is_nondegenerate(record.base):
-                    assert dict(report.directrix)[2] == record.directrix_degree
-        for n in range(5, 13):
-            for j in range(0, (n + 1) // 3 + 1):
-                for i in range(0, (n + 1 - 3 * j) // 2 + 1):
-                    record = p3s(n, j, i)
-                    report = classify(record.base)
-                    assert (report.degree, report.genus) == \
-                        (record.degree, record.genus)
-                    if is_nondegenerate(record.base):
-                        assert dict(report.directrix)[3] == record.directrix_degree
+    with criterion(4, "closed forms vs engine, n <= 20"):
+        records = [*plane_records(20), *solid_records(20)]
+        assert len(records) == 505
+        for record in records:
+            assert_engine_agrees(record)
 
 
 def test_criterion_5_pieri_proof_chains():
@@ -134,42 +126,15 @@ def test_criterion_6_catalan_oracle():
 
 def test_criterion_7_degeneration_bookkeeping():
     with criterion(7, "degeneration bookkeeping, exhaustive pair sweep"):
-        def check(node):
-            if len(node.children) == 2:
-                # a join: m and kappa are read off its components
-                dot, ddot = node.children
-                n, dims = node.base
-                m = dot.base.dims[0]
-                assert m == dims[0] + dims[1] - n + 1
-                shared = kappa(dot.base)
-                assert shared >= 1
-                if m == 0:
-                    assert shared == 1
-                assert node.degree == dot.degree + ddot.degree
-                assert node.genus == dot.genus + ddot.genus + shared - 1
-            for child in node.children:
-                check(child)
-
         # the engine always joins the two smallest spaces; the oracle forces
         # the first join onto every pair (all are admissible on a
         # nondegenerate base), which must give the same degree and genus
         for n in range(3, 8):
             for base in nondegenerate_bases(n):
                 reference = degeneration_tree(base)
-                check(reference)
-                dot, ddot = join(base)
-                assert forced_join(base, 0, 1) == ((dot, ddot, dot.dims[0]), kappa(dot))
+                check_witness(base, node_table(reference))
                 for i, j in itertools.combinations(range(len(base.dims)), 2):
-                    (dot, ddot, m), shared = forced_join(base, i, j)
-                    assert shared >= 1
-                    if m == 0:
-                        assert shared == 1
-                    dot = degeneration_tree(dot)
-                    ddot = degeneration_tree(ddot)
-                    check(dot)
-                    check(ddot)
-                    assert (dot.degree + ddot.degree,
-                            dot.genus + ddot.genus + shared - 1) == \
+                    assert forced_invariants(base, i, j) == \
                         (reference.degree, reference.genus)
 
 
@@ -179,41 +144,14 @@ def test_criterion_8_enumeration_counts():
             bases = nondegenerate_bases(n)
             assert len(bases) == count
             # independent exhaustion over all dimension multisets
-            brute = set()
-            for size in range(1, 2 * n - 2):
-                for dims in itertools.combinations_with_replacement(
-                        range(n - 1), size):
-                    if sum(n - 1 - d for d in dims) != 2 * n - 3:
-                        continue
-                    if any(a + b < n - 1 for a, b in
-                           itertools.combinations(dims, 2)):
-                        continue
-                    brute.add(IncidenceBase(n, dims))
-            assert set(bases) == brute
+            assert set(bases) == set(filter(nondegenerate_oracle, brute_force_bases(n)))
 
 
 def test_criterion_9_round_trip_and_restrict():
     with criterion(9, "separate/join round trip; restriction to span"):
-        # the engine joins the lifted pair when it is the two smallest spaces,
-        # as on every nondegenerate base; the oracle joins any other pair
-        routes = {"join": 0, "oracle": 0}
-        for n in range(3, 8):
-            for base in enumerate_bases(n):
-                for i, j in itertools.combinations(range(len(base.dims)), 2):
-                    if base.dims[i] + base.dims[j] != n:
-                        continue
-                    lifted = separate(base, i, j)
-                    di, dj = base.dims[i], base.dims[j]
-                    if lifted.dims[:2] == (di, dj):
-                        routes["join"] += 1
-                        dot, ddot = join(lifted)
-                        m = dot.dims[0]
-                    else:
-                        routes["oracle"] += 1
-                        li = lifted.dims.index(di)
-                        (_, ddot, m), _ = forced_join(
-                            lifted, li, lifted.dims.index(dj, li + 1))
-                    assert (m, ddot) == (0, base)
-        assert all(routes.values()), routes
+        routes = {round_trip(base, i, j)
+                  for n in range(3, 8) for base in enumerate_bases(n)
+                  for i, j in separable_pairs(base)}
+        assert routes == {"join", "oracle"}, routes
         assert restrict_to_span(IncidenceBase(4, (2, 1, 1))) == \
             IncidenceBase(3, (1, 1, 1))

@@ -16,8 +16,10 @@ from incidence_scrolls.bases import (
 )
 from oracles import (
     B,
+    brute_force_bases,
     forced_join,
     nondegenerate_bases,
+    nondegenerate_oracle,
     parse_base,
     random_bases,
     separate,
@@ -31,12 +33,6 @@ def partition_count(total, largest):
         for k in range(part, total + 1):
             ways[k] += ways[k - part]
     return ways[total]
-
-
-def nondegenerate_oracle(base):
-    """Every pair of base spaces spans the ambient, trying every pair."""
-    return all(x + y >= base.ambient - 1
-               for x, y in itertools.combinations(base.dims, 2))
 
 
 def restriction_pair_oracle(base):
@@ -80,18 +76,6 @@ def assert_pair_rules_agree(base):
     if is_nondegenerate(base) and 0 not in base.dims:
         # the bases the genus recursion joins: it takes the two smallest
         assert join_pair_oracle(base) == (0, 1)
-
-
-def brute_force_bases(n):
-    """Independent exhaustion: every multiset of dims in [0, n-2] imposing
-    exactly 2n-3 conditions."""
-    found = set()
-    max_size = 2 * n - 3  # each space imposes at least one condition
-    for size in range(1, max_size + 1):
-        for dims in itertools.combinations_with_replacement(range(n - 1), size):
-            if sum(n - 1 - d for d in dims) == 2 * n - 3:
-                found.add(IncidenceBase(n, dims))
-    return found
 
 
 class TestConditionsCount:
@@ -247,30 +231,6 @@ class TestSeparate:
         base = B(6, 2, 3, 3, 4, 4)
         lifted = separate(base, 0, 3)  # the plane and a P^4
         assert lifted == B(7, 2, 4, 4, 4, 5)
-
-    def test_round_trip(self):
-        # the engine joins the lifted pair when it is the two smallest spaces,
-        # the oracle any other pair; on a nondegenerate base every other space
-        # is >= dj - 1, so only degenerate bases take the oracle
-        routes = {"join": 0, "oracle": 0}
-        for n in range(3, 7):
-            for base in enumerate_bases(n):
-                for i, j in itertools.combinations(range(len(base.dims)), 2):
-                    if base.dims[i] + base.dims[j] != n:
-                        continue
-                    lifted = separate(base, i, j)
-                    di, dj = base.dims[i], base.dims[j]
-                    if lifted.dims[:2] == (di, dj):
-                        routes["join"] += 1
-                        dot, ddot = join(lifted)
-                        m = dot.dims[0]
-                    else:
-                        routes["oracle"] += 1
-                        li = lifted.dims.index(di)
-                        (_, ddot, m), _ = forced_join(
-                            lifted, li, lifted.dims.index(dj, li + 1))
-                    assert (m, ddot) == (0, base)
-        assert all(routes.values()), routes
 
     def test_wrong_sum(self):
         with pytest.raises(ValueError):

@@ -282,8 +282,8 @@ class TestJsonReports:
 
 class TestGoldenStdout:
     # sha256 and size of the bytes that the process entry point writes under
-    # -O, pinned from the json.dumps writer and the engine before its keys
-    # were built sorted
+    # -O: the whole-corpus -O replay (TestGoldenCorpus) calls main in process,
+    # so it never checks what `python -O -m incidence_scrolls.cli` writes
     @pytest.mark.parametrize("argv, digest, size", [
         (["enumerate", "-n", "13", "--format", "json"],
          "2db936f3cb5aed0bfea8dc6bdea63e7936a64fcb8097f87ca352997831320bb5", 233895),

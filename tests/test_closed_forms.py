@@ -4,32 +4,8 @@ import traceback
 import pytest
 
 from incidence_scrolls.bases import is_nondegenerate, restrict_to_span
-from incidence_scrolls.cli import main
 from incidence_scrolls.closed_forms import ClosedFormRecord, p1s, p2s, p3s, table
-from incidence_scrolls.invariants import classify
-from oracles import B, forced_join
-
-
-def plane_records(max_n):
-    for n in range(4, max_n + 1):
-        for i in range(0, n // 2 + 1):
-            yield p2s(n, i)
-
-
-def solid_records(max_n):
-    for n in range(5, max_n + 1):
-        for j in range(0, (n + 1) // 3 + 1):
-            for i in range(0, (n + 1 - 3 * j) // 2 + 1):
-                yield p3s(n, j, i)
-
-
-def assert_engine_agrees(record):
-    """Degree, genus and the fixed space's directrix degree match the engine."""
-    report = classify(record.base)
-    assert (report.degree, report.genus) == (record.degree, record.genus)
-    if is_nondegenerate(record.base):
-        fixed_dim = {"p1s": 1, "p2s": 2, "p3s": 3}[record.family]
-        assert dict(report.directrix)[fixed_dim] == record.directrix_degree
+from oracles import B, assert_engine_agrees, forced_join
 
 
 class TestLineFamily:
@@ -84,10 +60,6 @@ class TestPlaneFamily:
         assert record.base == B(4, 1, 1, 2)
         assert restrict_to_span(record.base) == B(3, 1, 1, 1)
         assert (record.degree, record.genus) == (2, 0)
-
-    def test_engine_agreement(self):
-        for record in plane_records(12):
-            assert_engine_agrees(record)
 
     def test_embeds_in_next_family(self):
         # pushing the plane and one P^{n-2} into a hyperplane recovers the
@@ -145,10 +117,6 @@ class TestSolidFamily:
                     assert record.degree == d_fn(i, j)
                     assert record.genus == g_fn(i, j)
 
-    def test_engine_agreement(self):
-        for record in solid_records(12):
-            assert_engine_agrees(record)
-
     def test_range(self):
         with pytest.raises(ValueError):
             p3s(4, 0, 0)
@@ -178,27 +146,9 @@ class TestTables:
     def test_table3_stars(self):
         assert sum(row.star for row in table(3)) == 7
 
-    def test_table3_misprint_is_annotated(self, capsys):
-        # the annotation is derived from the engine, which the closed form checks
-        assert main(["table", "--id", "3"]) == 0
-        deviating = [line for line in capsys.readouterr().out.splitlines()
-                     if "DEVIATION" in line]
-        assert len(deviating) == 1
-        assert deviating[0].startswith("R^10_3 in P^6 ")
-        assert "directrix 6 vs printed 5" in deviating[0]
-        assert deviating[0].endswith("suspected misprint)")
-
     def test_bad_id(self):
         with pytest.raises(ValueError):
             table(4)
-
-
-def test_engine_agreement_to_20():
-    # acceptance criterion 4 stops at n = 12; this runs both families to n = 20
-    records = [*plane_records(20), *solid_records(20)]
-    assert len(records) == 505
-    for record in records:
-        assert_engine_agrees(record)
 
 
 def test_engine_agreement_deep_line_family():

@@ -33,75 +33,19 @@ from incidence_scrolls.invariants import (
 from oracles import (
     B,
     adjunction_genus,
+    check_witness,
+    forced_invariants,
     forced_join,
     k_theory_genus,
     nondegenerate_bases,
-    parse_base,
     pieri_fold,
     point_coefficient,
     random_bases,
+    round_trip,
     run_optimized,
     sent_keys,
-    separate,
+    separable_pairs,
 )
-
-
-def check_witness(base, table):
-    """Re-verify every row of a witness node table from local arithmetic only.
-
-    Each join row must join the two smallest spaces of its base, recorded as
-    its pair, and list exactly the two bases `join` makes of them, with m
-    the dimension of the pair's meet and kappa the kernel's count on the
-    first of them; each restrict row the base
-    `restrict_to_span` makes; degrees and genera must add up row by row, and
-    the root's degree must be the ring degree of `base`.
-    """
-    nodes = table["nodes"]
-    assert [row["id"] for row in nodes] == list(range(len(nodes)))
-    assert table["root"] == len(nodes) - 1
-    assert len({row["base"] for row in nodes}) == len(nodes)
-    for row in nodes:
-        node_base = parse_base(row["base"])
-        assert all(child < row["id"] for child in row["children"])
-        children = [nodes[child] for child in row["children"]]
-        d, g = row["degree"], row["genus"]
-        if row["action"] == "leaf":
-            assert children == [] and (d, g) == (1, 0)
-            assert node_base.ambient <= 2 or 0 in node_base.dims
-        elif row["action"] == "restrict":
-            (child,) = children
-            assert child["base"] == format_base(restrict_to_span(node_base))
-            assert (d, g) == (child["degree"], child["genus"])
-        else:
-            assert row["action"] == "join"
-            assert row["pair"] == list(node_base.dims[:2])
-            dot_base, ddot_base = join(node_base)
-            dot, ddot = children
-            assert [dot["base"], ddot["base"]] == \
-                [format_base(dot_base), format_base(ddot_base)]
-            d0, d1 = row["pair"]
-            assert row["m"] == d0 + d1 - node_base.ambient + 1 == dot_base.dims[0]
-            assert row["kappa"] == kappa(dot_base)
-            assert d == dot["degree"] + ddot["degree"]
-            assert g == dot["genus"] + ddot["genus"] + row["kappa"] - 1
-    root = nodes[table["root"]]
-    assert root["base"] == format_base(base)
-    assert root["degree"] == degree(base)
-
-
-def forced_invariants(base, i, j):
-    """Degree and genus of `base` with its first join forced to spaces i, j.
-
-    The two components and the shared generators come from the oracle
-    `forced_join`, their witnesses from `degeneration_tree`, so every join
-    pair of a nondegenerate base must give the engine's own numbers.
-    """
-    (dot, ddot, m), shared = forced_join(base, i, j)
-    assert shared >= 1
-    if m == 0:
-        assert shared == 1
-    dot, ddot = degeneration_tree(dot), degeneration_tree(ddot)
-    return dot.degree + ddot.degree, dot.genus + ddot.genus + shared - 1
 
 
 def node_table_oracle(root):
@@ -259,48 +203,6 @@ class TestDegenerationTree:
         leaf = degeneration_tree(B(3, 0, 1))
         assert leaf.children == ()
         assert (leaf.degree, leaf.genus) == (1, 0)
-
-    def test_bookkeeping_invariants(self):
-        def walk(node):
-            if len(node.children) == 2:
-                # a join: m and kappa are read off its components
-                dot, ddot = node.children
-                n, dims = node.base
-                m = dot.base.dims[0]
-                assert m == dims[0] + dims[1] - n + 1
-                shared = kappa(dot.base)
-                assert node.degree == dot.degree + ddot.degree
-                assert node.genus == dot.genus + ddot.genus + shared - 1
-                assert shared >= 1
-                if m == 0:
-                    assert shared == 1
-            elif node.children:
-                (child,) = node.children
-                assert (node.degree, node.genus) == (child.degree, child.genus)
-            else:
-                assert (node.degree, node.genus) == (1, 0)
-                assert not node.children
-            for child in node.children:
-                walk(child)
-
-        for n in range(3, 7):
-            for base in enumerate_bases(n):
-                walk(degeneration_tree(base))
-
-    def test_forced_first_pair_agrees(self):
-        # every pair of a nondegenerate base is admissible, and any starting
-        # pair must yield the same invariants
-        for n in range(3, 7):
-            for base in nondegenerate_bases(n):
-                reference = degeneration_tree(base)
-                for i, j in itertools.combinations(range(len(base.dims)), 2):
-                    assert forced_invariants(base, i, j) == \
-                        (reference.degree, reference.genus)
-
-    def test_degree_matches_ring(self):
-        for n in range(3, 7):
-            for base in enumerate_bases(n):
-                assert degeneration_tree(base).degree == degree(base)
 
     def test_node_table(self):
         table = node_table(degeneration_tree(B(4, 2, 2, 2, 2, 2)))
@@ -850,31 +752,17 @@ class TestRandomBases:
         assert restrict_to_span(effective) == effective
 
     def test_separate_join_round_trip(self):
-        # the engine joins the lifted pair when it is the two smallest spaces,
-        # as on every nondegenerate base; the oracle joins any other pair
-        routes = {"join": 0, "oracle": 0}
+        routes = set()
 
         @settings(max_examples=150, deadline=None)
         @given(random_bases(10), st.data())
-        def round_trip(base, data):
-            pairs = [(i, j) for i, j in itertools.combinations(range(len(base.dims)), 2)
-                     if base.dims[i] + base.dims[j] == base.ambient]
+        def check(base, data):
+            pairs = separable_pairs(base)
             assume(pairs)
-            i, j = data.draw(st.sampled_from(pairs))
-            lifted = separate(base, i, j)
-            di, dj = base.dims[i], base.dims[j]
-            if lifted.dims[:2] == (di, dj):
-                routes["join"] += 1
-                dot, ddot = join(lifted)
-                m = dot.dims[0]
-            else:
-                routes["oracle"] += 1
-                low = lifted.dims.index(di)
-                (_, ddot, m), _ = forced_join(lifted, low, lifted.dims.index(dj, low + 1))
-            assert (m, ddot) == (0, base)
+            routes.add(round_trip(base, *data.draw(st.sampled_from(pairs))))
 
-        round_trip()
-        assert all(routes.values()), routes
+        check()
+        assert routes == {"join", "oracle"}, routes
 
     @settings(max_examples=150, deadline=None)
     @given(random_bases())

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incidence_scrolls import cli, closed_forms, invariants
+from incidence_scrolls import cli, closed_forms
 from incidence_scrolls.bases import enumerate_bases, format_base, is_nondegenerate
 from incidence_scrolls.cli import REPORT_COLUMNS, _render_rows, _report_cells, main
 from incidence_scrolls.invariants import classify
@@ -622,60 +622,8 @@ class TestCommands:
 
 
 class TestExitCodes:
-    def test_invariant_error(self, capsys, monkeypatch):
-        ring_degree = invariants.degree
-        monkeypatch.setattr(invariants, "degree", lambda base: ring_degree(base) + 1)
-        code, out, err = run(capsys, "analyze", "-n", "3", "--base", "1,1,1")
-        assert code == 4
-        assert out == ""
-        assert "disagrees" in err
-
-    def test_wrong_genus_exits_4(self, capsys, monkeypatch):
-        # kappa + 1 on the joins with m > 0: every degree holds, the genus does not
-        shared = invariants.kappa
-        monkeypatch.setattr(invariants, "kappa",
-                            lambda dot: shared(dot) + (dot.dims[0] > 0))
-        assert run(capsys, "analyze", "-n", "5", "--base", "3,3,3,3,3,3,3") == (
-            4, "", "error: adjunction gives 2g - 2 = 14, not the degeneration "
-            "genus 12, for n=5 dims=3,3,3,3,3,3,3\n")
-
-    def test_wrong_closed_form_exits_4_under_optimize(self):
-        # the p3s genus one too high at (j, i) = (1, 0); the engine is untouched,
-        # so only table's closed-form check can see it, on R^10_3 in P^6 first
-        code = (
-            "import sys\n"
-            "from incidence_scrolls import cli, closed_forms\n"
-            "p3s = closed_forms.p3s\n"
-            "def corrupt(n, j, i):\n"
-            "    record = p3s(n, j, i)\n"
-            "    return record._replace(genus=record.genus + ((j, i) == (1, 0)))\n"
-            "closed_forms.p3s = corrupt\n"
-            "sys.exit(cli.main(['table', '--id', '3']))\n"
-        )
-        proc = run_optimized("-c", code)
-        assert (proc.returncode, proc.stdout) == (4, "")
-        assert proc.stderr.splitlines() == [
-            "error: the p3s closed form gives d=10 g=4 dir=6, the engine "
-            "d=10 g=3 h1=1 dir=6, for n=6 dims=2,3,4,4,4,4"]
-
-    def test_wrong_kernel_is_caught_under_optimize(self):
-        # the tree degree adds leaves and never asks the kernel, so an
-        # off-by-one kernel trips the ring-vs-tree or the m=0 => kappa=1 check
-        code = (
-            "import sys\n"
-            "from incidence_scrolls import cli, grassmann\n"
-            "kernel = grassmann._point_coefficient\n"
-            "grassmann._point_coefficient = lambda n, hs: kernel(n, hs) + 1\n"
-            "sys.exit(cli.main(['analyze', '-n', '5', '--base', '3,3,3,3,3,3,3']))\n"
-        )
-        proc = run_optimized("-c", code)
-        assert proc.returncode == 4
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("error: ")
-
     def test_run_exits_4_under_optimize(self):
-        # the same off-by-one kernel, through the process entry point
+        # the kernel + 1 fault of tests/test_faults.py, through the process entry point
         code = (
             "import sys\n"
             "from incidence_scrolls import cli, grassmann\n"

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import incidence_scrolls
-from incidence_scrolls import grassmann, invariants
+from incidence_scrolls import invariants
 from incidence_scrolls.bases import (
     IncidenceBase,
     enumerate_bases,
@@ -42,7 +42,6 @@ from oracles import (
     point_coefficient,
     random_bases,
     round_trip,
-    run_optimized,
     sent_keys,
     separable_pairs,
 )
@@ -416,28 +415,6 @@ def h1(n, d, g):
     return ScrollReport(base=None, span=n, degree=d, genus=g, directrix=()).h1
 
 
-class NegativeSpeciality(ScrollReport):
-    """A report whose speciality reads -3 whatever it stores."""
-
-    __slots__ = ()
-    h1 = -3
-
-
-NEGATIVE_SPECIALITY = """
-import sys
-from incidence_scrolls import cli, invariants
-
-
-class NegativeSpeciality(invariants.ScrollReport):
-    __slots__ = ()
-    h1 = -3
-
-
-invariants.ScrollReport = NegativeSpeciality
-sys.exit(cli.main(["analyze", "-n", "4", "--base", "1,2,2,2"]))
-"""
-
-
 class TestSpeciality:
     def test_nonspecial(self):
         assert h1(4, 3, 0) == 0
@@ -449,19 +426,6 @@ class TestSpeciality:
 
     def test_negative_value(self):
         assert h1(3, 5, 0) == -3
-
-    def test_negative_rejected(self, monkeypatch):
-        # from a checked base only a faulty degree or genus gives h1 < 0
-        monkeypatch.setattr(invariants, "ScrollReport", NegativeSpeciality)
-        with pytest.raises(InvariantError, match=r"^negative speciality h1=-3 for "
-                           r"\(n=4, d=3, g=0\); scroll cannot be linearly normal$"):
-            classify(B(4, 1, 2, 2, 2))
-
-    def test_negative_rejected_under_optimize(self):
-        proc = run_optimized("-c", NEGATIVE_SPECIALITY)
-        assert (proc.returncode, proc.stdout) == (4, "")
-        assert proc.stderr == ("error: negative speciality h1=-3 for (n=4, d=3, g=0); "
-                               "scroll cannot be linearly normal\n")
 
 
 class TestClassify:
@@ -558,79 +522,6 @@ class TestRingConsistency:
                 assert pieri_fold(n, list(base.dims) + [n - 2]) == {(0, 1): d}
 
 
-RING_DEGREE_OFF_BY_ONE = """
-from incidence_scrolls import invariants
-from incidence_scrolls.bases import IncidenceBase
-
-print("debug", __debug__)
-ring_degree = invariants.degree
-invariants.degree = lambda base: ring_degree(base) + 1
-try:
-    invariants.classify(IncidenceBase(4, (1, 2, 2, 2)))
-except invariants.InvariantError as exc:
-    print("InvariantError:", exc)
-"""
-
-
-BASE_CHECKS_WITHOUT_IS = """
-from incidence_scrolls import bases, closed_forms
-from incidence_scrolls.bases import IncidenceBase, InvariantError
-
-print("debug", __debug__)
-# the inputs are built first: the constructor checks the 2n-3 condition too
-seven_solids = IncidenceBase(5, (3,) * 7)
-degenerate = IncidenceBase(6, (2, 2, 3, 4))
-bases.satisfies_is = lambda base: False
-steps = [
-    lambda: bases.join(seven_solids),
-    lambda: bases.restrict_to_span(degenerate),
-    lambda: closed_forms.p1s(4),
-]
-for step in steps:
-    try:
-        step()
-    except InvariantError as exc:
-        print("InvariantError:", exc)
-"""
-
-
-SECOND_JOIN_CHECK = """
-from incidence_scrolls import bases
-from incidence_scrolls.bases import IncidenceBase, InvariantError
-
-print("debug", __debug__)
-seven_solids = IncidenceBase(5, (3,) * 7)
-is_base = bases.satisfies_is
-# the first component of the join stays in P^5, the second lies in P^4
-bases.satisfies_is = lambda base: base.ambient != 4 and is_base(base)
-try:
-    bases.join(seven_solids)
-except InvariantError as exc:
-    print("InvariantError:", exc)
-"""
-
-
-CORRUPTED_JOIN = """
-from incidence_scrolls import bases, invariants
-from incidence_scrolls.bases import IncidenceBase
-
-print("debug", __debug__)
-derived = bases._derived
-
-
-def drop_a_space(ambient, dims, step):
-    # the first component of the join, in P^4, loses its P^m
-    return derived(ambient, dims[1:] if ambient == 4 else dims, step)
-
-
-bases._derived = drop_a_space
-try:
-    invariants.classify(IncidenceBase(4, (2, 2, 2, 2, 2)))
-except invariants.InvariantError as exc:
-    print("InvariantError:", exc)
-"""
-
-
 class TestCrossChecks:
     def test_no_check_is_stripped_by_optimize(self):
         # python -O drops every assert statement and every `if __debug__:` block
@@ -640,70 +531,6 @@ class TestCrossChecks:
                 where = f"{path.name}:{getattr(node, 'lineno', '?')}"
                 assert not isinstance(node, ast.Assert), where
                 assert not (isinstance(node, ast.Name) and node.id == "__debug__"), where
-
-    def test_ring_degree_check_survives_optimize(self):
-        proc = run_optimized("-c", RING_DEGREE_OFF_BY_ONE)
-        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", [
-            "debug False",
-            "InvariantError: ring degree 4 disagrees with degeneration "
-            "bookkeeping 3 for n=4 dims=1,2,2,2",
-        ])
-
-    def test_kappa_must_be_positive(self, monkeypatch):
-        monkeypatch.setattr(grassmann, "_point_coefficient", lambda n, hs: 0)
-        base = B(5, 3, 3, 3, 3, 3, 3, 3)
-        for step in (lambda: kappa(join(base)[0]), lambda: degeneration_tree(base),
-                     lambda: classify(base)):
-            with pytest.raises(InvariantError, match="kappa must be positive"):
-                step()
-
-    def test_m_zero_join_shares_one_generator(self, monkeypatch):
-        monkeypatch.setattr(invariants, "kappa", lambda dot: 2)
-        with pytest.raises(InvariantError, match="m=0 join must share one"):
-            degeneration_tree(B(6, 2, 3, 3, 4, 4))
-
-    def test_genus_is_checked_by_adjunction(self, monkeypatch):
-        # one generator too many on every join with m > 0 raises the witness
-        # genus of the seven solids from 8 to 12 while every degree holds
-        shared = invariants.kappa
-
-        def one_more(dot):
-            return shared(dot) + (dot.dims[0] > 0)
-
-        monkeypatch.setattr(invariants, "kappa", one_more)
-        base = B(5, 3, 3, 3, 3, 3, 3, 3)
-        assert degeneration_tree(base).genus == 12
-        with pytest.raises(InvariantError, match=r"^adjunction gives 2g - 2 = 14, not "
-                           r"the degeneration genus 12, for n=5 dims=3,3,3,3,3,3,3$"):
-            classify(base)
-
-    def test_corrupted_join_survives_optimize(self):
-        proc = run_optimized("-c", CORRUPTED_JOIN)
-        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", [
-            "debug False",
-            "InvariantError: join produced n=4 dims=2,2,2, which is not an "
-            "incidence-scroll base",
-        ])
-
-    def test_base_checks_survive_optimize(self):
-        proc = run_optimized("-c", BASE_CHECKS_WITHOUT_IS)
-        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", [
-            "debug False",
-            "InvariantError: join produced n=5 dims=2,3,3,3,3,3, which is "
-            "not an incidence-scroll base",
-            "InvariantError: restrict_to_span produced n=5 dims=2,2,2,3, "
-            "which is not an incidence-scroll base",
-            "InvariantError: p1s closed form produced n=4 dims=1,2,2,2, which "
-            "is not an incidence-scroll base",
-        ])
-
-    def test_second_join_component_is_checked_under_optimize(self):
-        proc = run_optimized("-c", SECOND_JOIN_CHECK)
-        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", [
-            "debug False",
-            "InvariantError: join produced n=4 dims=2,2,2,2,2, which is not an "
-            "incidence-scroll base",
-        ])
 
 
 class TestRandomBases:

@@ -264,6 +264,7 @@ class TestRestrictToSpan:
                 restricted = restrict_to_span(base)
                 assert satisfies_is(restricted)
                 assert is_nondegenerate(restricted)
+                assert restrict_to_span(restricted) == restricted
 
 
 class TestCanonicalize:

@@ -27,16 +27,31 @@ from oracles import checkout_env
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_bench_run():
-    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+def load_bench(name, file):
+    spec = importlib.util.spec_from_file_location(name, BENCH / file)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look the module up there
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-bench_run = load_bench_run()
+bench_run = load_bench("bench_run", "run.py")
+bench_tracer = load_bench("bench_tracer", "tracer.py")
 REFS = json.loads((BENCH / "refs.json").read_text())
+
+
+def test_manifest_matches_the_harness():
+    # BENCHMARK.json declares what bench/run.py measures, metric by metric
+    manifest = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    assert tuple(w["name"] for w in manifest["workloads"]) == bench_run.WORKLOADS
+    for section, units in [("end_to_end", bench_run.END_TO_END),
+                           ("per_layer", bench_run.PER_LAYER)]:
+        metrics = [(m["name"], m["unit"]) for m in manifest[section]]
+        assert sorted(metrics) == sorted(units.items()), section
+    # each per-layer metric is a traced function's, the cli's or the tracer's
+    layers = {f"{module}.{name}" for module, name, *_ in bench_tracer.TARGETS}
+    for metric in manifest["per_layer"]:
+        assert metric["name"].rpartition(".")[0] in layers | {"cli", "trace"}, metric
 
 
 @pytest.mark.parametrize("workload", bench_run.WORKLOADS)

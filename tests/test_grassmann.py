@@ -377,17 +377,31 @@ class TestKernelMemo:
         assert sum(len(k) for k in asked.values()) > len(keys)
 
 
+def catalan(k):
+    """The Catalan number C_k: the degree of the Grassmannian G(1, k + 1)."""
+    return factorial(2 * k) // (factorial(k) * factorial(k + 1))
+
+
 class TestCatalanOracle:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_plucker_degree(self, n):
-        catalan = factorial(2 * n - 2) // (factorial(n - 1) * factorial(n))
-        assert product_of_specials(n, [n - 2] * (2 * n - 2)) == {(0, 1): catalan}
+        assert product_of_specials(n, [n - 2] * (2 * n - 2)) == {(0, 1): catalan(n - 1)}
 
     def test_kernel_plucker_degree(self):
         # P = (1 + t)^(2n-2): its central coefficient comes nearest the slot width
         for n in range(2, 81):
-            catalan = factorial(2 * n - 2) // (factorial(n - 1) * factorial(n))
-            assert point_coefficient(n, [n - 2] * (2 * n - 2)) == catalan
+            assert point_coefficient(n, [n - 2] * (2 * n - 2)) == catalan(n - 1)
+
+    def test_linear_sections(self):
+        # {(2n-3) P^(n-2)} in P^n, the bases of the witness workload, against
+        # closed forms: the degree C_(n-1), 2g - 2 = (n - 4) C_(n-1) by
+        # adjunction, and one directrix of degree C_(n-1) - C_(n-2)
+        for n in range(3, 41):
+            report = classify(IncidenceBase(n, (n - 2,) * (2 * n - 3)))
+            d = catalan(n - 1)
+            assert (report.span, report.degree) == (n, d)
+            assert 2 * report.genus - 2 == (n - 4) * d
+            assert report.directrix == ((n - 2, d - catalan(n - 2)),)
 
 
 class TestRender:

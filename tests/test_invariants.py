@@ -385,12 +385,6 @@ class TestSortedKernelKeys:
 
     @settings(max_examples=150, deadline=None)
     @given(random_bases(10))
-    def test_random_bases(self, base):
-        assert_sorted(sent_keys(lambda: classify(base)))
-        assert_one_directrix_per_dimension(base)
-
-    @settings(max_examples=150, deadline=None)
-    @given(random_bases(10))
     def test_kappa_of_every_pair(self, base):
         # P^m, the smallest space of the join's first component, leads the key
         effective = restrict_to_span(base)
@@ -537,11 +531,6 @@ class TestRandomBases:
     """Properties of the engine on random bases beyond the exhaustive sweeps."""
 
     @settings(max_examples=150, deadline=None)
-    @given(random_bases(10))
-    def test_tree_degree_is_ring_degree(self, base):
-        assert degeneration_tree(base).degree == degree(base)
-
-    @settings(max_examples=150, deadline=None)
     @given(random_bases(10), st.data())
     def test_genus_independent_of_first_pair(self, base, data):
         effective = restrict_to_span(base)
@@ -553,30 +542,6 @@ class TestRandomBases:
         (dot, ddot, _), _ = forced_join(effective, *pair)
         for part in (dot, ddot):
             check_witness(part, node_table(degeneration_tree(part)))
-
-    @settings(max_examples=150, deadline=None)
-    @given(random_bases(10))
-    def test_genus_by_adjunction(self, base):
-        assert adjunction_genus(base) == classify(base).genus
-
-    @settings(max_examples=150, deadline=None)
-    @given(random_bases(10))
-    def test_genus_by_k_theory(self, base):
-        assert k_theory_genus(base) == classify(base).genus
-
-    @settings(max_examples=150, deadline=None)
-    @given(random_bases(10))
-    def test_speciality_nonnegative_on_span(self, base):
-        report = classify(base)
-        assert report.h1 == report.span - report.degree + 2 * report.genus - 1
-        assert report.h1 >= 0
-
-    @settings(max_examples=150, deadline=None)
-    @given(random_bases(10))
-    def test_restrict_to_span_idempotent(self, base):
-        effective = restrict_to_span(base)
-        assert satisfies_is(effective) and is_nondegenerate(effective)
-        assert restrict_to_span(effective) == effective
 
     def test_separate_join_round_trip(self):
         routes = set()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 
 def _check_parameters(n: int, hs: Iterable[int]) -> None:
@@ -23,11 +23,13 @@ def _check_parameters(n: int, hs: Iterable[int]) -> None:
             raise ValueError(f"special parameter {h} out of range [0, {n - 2}]")
 
 
-def _coefficients(n: int, hs: tuple[int, ...]) -> tuple[int, int]:
-    """P = prod(1 + t + ... + t^c_i) at t = 2^b, hs sorted, and b.
+def _coefficients(n: int, hs: tuple[int, ...]) -> Callable[[int], int]:
+    """Reader of [t^k]P for P = prod(1 + t + ... + t^c_i), hs sorted.
 
-    2^b > P(1) = prod(c_i + 1), so no b-bit slot carries: [t^k]P is slot k
-    of the int.  b is a whole number of bytes.
+    P is evaluated at t = 2^b with 2^b > P(1) = prod(c_i + 1), so no b-bit
+    slot carries: [t^k]P is slot k of the int.  b is a whole number of
+    bytes, so slot k is a slice of P's bytes and a read costs its slot, not
+    a shift of P.
     """
     runs, whole, start = [], 1, 0  # (c_i + 1, multiplicity) of each run of equal h; P(1)
     while start < len(hs):
@@ -40,7 +42,8 @@ def _coefficients(n: int, hs: tuple[int, ...]) -> tuple[int, int]:
     p = 1
     for width, count in runs:
         p *= (((1 << b * width) - 1) // mask) ** count
-    return p, b
+    size, raw = b // 8, p.to_bytes((p.bit_length() + 7) // 8, "little")
+    return lambda k: int.from_bytes(raw[k * size:(k + 1) * size], "little")
 
 
 def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]:
@@ -55,10 +58,7 @@ def product_of_specials(n: int, hs: Iterable[int]) -> dict[tuple[int, int], int]
     s = (n - 1) * len(hs) - sum(hs)
     if s > 2 * (n - 1):
         return {}  # past the point class; P would have about S^2 bits
-    p, b = _coefficients(n, tuple(sorted(hs)))
-    # slot k is a slice of P's bytes: a read costs its slot, not a shift of P
-    size, raw = b // 8, p.to_bytes((p.bit_length() + 7) // 8, "little")
-    slot = lambda k: int.from_bytes(raw[k * size:(k + 1) * size], "little")
+    slot = _coefficients(n, tuple(sorted(hs)))
     return {(n - 1 - s + l, n - l): coeff
             for l in range(max(0, s - n + 1), s // 2 + 1)
             if (coeff := slot(l) - (l and slot(l - 1)))}
@@ -77,9 +77,8 @@ def _point_coefficient(n: int, hs: tuple[int, ...]) -> int:
             f"total codimension {total} != dim G(1,{n}) = {2 * (n - 1)}")
     if n < 2 or hs[0] < 0 or hs[-1] > n - 2:  # n >= 2: hs is nonempty
         _check_parameters(n, hs)
-    p, b = _coefficients(n, hs)
-    top, mask = p >> b * (n - 2), (1 << b) - 1  # slots n-2 and n-1 at the bottom
-    return (top >> b & mask) - (top & mask)
+    slot = _coefficients(n, hs)
+    return slot(n - 1) - slot(n - 2)
 
 
 def render(terms: dict[tuple[int, int], int]) -> str:

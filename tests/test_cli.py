@@ -322,13 +322,6 @@ class TestGoldenCorpus:
 
 
 class TestAnalyze:
-    def test_quadric(self, capsys):
-        code, out, _ = run(capsys, "analyze", "-n", "3", "--base", "1,1,1")
-        assert code == 0
-        row = body_rows(out)[0]
-        assert "n=3 dims=1,1,1" in row
-        assert "False" in row  # not special
-
     def test_seven_solids_json(self, capsys):
         code, out, _ = run(capsys, "analyze", "-n", "5", "--base",
                            "3,3,3,3,3,3,3", "--format", "json", "--tree")
@@ -389,31 +382,6 @@ class TestAnalyze:
 
 
 class TestTable:
-    def test_table1(self, capsys):
-        code, out, _ = run(capsys, "table", "--id", "1")
-        assert code == 0
-        rows = [line for line in body_rows(out) if not line.startswith("#")]
-        assert len(rows) == 7
-        assert all("ok" in row for row in rows)
-
-    def test_table2(self, capsys):
-        code, out, _ = run(capsys, "table", "--id", "2")
-        assert code == 0
-        rows = [line for line in body_rows(out) if not line.startswith("#")]
-        assert len(rows) == 15
-        assert "DEVIATION" not in out
-
-    def test_table3_single_deviation(self, capsys):
-        code, out, _ = run(capsys, "table", "--id", "3")
-        assert code == 0
-        rows = [line for line in body_rows(out) if not line.startswith("#")]
-        assert len(rows) == 14
-        deviating = [row for row in rows if "DEVIATION" in row]
-        assert len(deviating) == 1
-        assert "R^10_3" in deviating[0]
-        assert "misprint" in deviating[0]
-        assert "# 1 deviation(s)" in out
-
     def test_printed_degree_and_star_deviations(self, capsys, monkeypatch):
         # table 1 with one printed degree too high and one row starred: the
         # engine agrees with every closed form, so the rows deviate and exit 0
@@ -442,24 +410,11 @@ class TestTable:
 
 
 class TestProduct:
-    def test_point_multiple(self, capsys):
-        code, out, _ = run(capsys, "product", "--grassmann", "1,5",
-                           "--specials", "2,3,3,3,3,3,3")
-        assert code == 0
-        assert out.splitlines() == ["9*w(0,1)", "9"]
-
     def test_pencil_class(self, capsys):
         code, out, _ = run(capsys, "product", "--grassmann", "1,5",
                            "--specials", "2,3,3,3,3,3")
         assert code == 0
         assert out.splitlines() == ["9*w(0,2)"]
-
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "product", "--grassmann", "1,4",
-                           "--specials", "2,2,2,2,2,2", "--format", "json")
-        assert code == 0
-        data = json.loads(out)
-        assert data == {"grassmann": [1, 4], "product": "5*w(0,1)"}
 
     def test_long_product_in_linear_time(self):
         # the reader slices each slot from P's bytes; a shift of all of P per

@@ -4,7 +4,7 @@ import traceback
 import pytest
 
 from incidence_scrolls.bases import is_nondegenerate, restrict_to_span
-from incidence_scrolls.closed_forms import ClosedFormRecord, p1s, p2s, p3s, table
+from incidence_scrolls.closed_forms import ClosedFormRecord, p1s, p2s, p3s
 from oracles import B, assert_engine_agrees, forced_join
 
 
@@ -124,31 +124,6 @@ class TestSolidFamily:
             p3s(6, 3, 0)
         with pytest.raises(ValueError):
             p3s(6, 1, 3)
-
-
-class TestTables:
-    def test_row_counts(self):
-        assert len(table(1)) == 7
-        assert len(table(2)) == 15
-        assert len(table(3)) == 14
-
-    def test_table1_families(self):
-        for row, n in zip(table(1), range(3, 10)):
-            assert row.record.family == "p1s"
-            assert row.record.base.ambient == n
-            assert not row.star
-
-    def test_table2_stars(self):
-        starred = [row for row in table(2) if row.star]
-        assert len(starred) == 6
-        assert all(row.printed_genus == 3 for row in starred)
-
-    def test_table3_stars(self):
-        assert sum(row.star for row in table(3)) == 7
-
-    def test_bad_id(self):
-        with pytest.raises(ValueError):
-            table(4)
 
 
 def test_engine_agreement_deep_line_family():

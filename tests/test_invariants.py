@@ -81,52 +81,6 @@ def witness_base(n):
     return IncidenceBase(n, (n - 2,) * (2 * n - 3))
 
 
-class TestDegree:
-    def test_quadric(self):
-        assert degree(B(3, 1, 1, 1)) == 2
-
-    def test_cubic_scroll(self):
-        assert degree(B(4, 1, 2, 2, 2)) == 3
-
-    def test_quintic(self):
-        assert degree(B(4, 2, 2, 2, 2, 2)) == 5
-
-    def test_seven_solids(self):
-        assert degree(B(5, 3, 3, 3, 3, 3, 3, 3)) == 14
-
-    def test_degenerate_base(self):
-        # the product still counts generators even when the scroll spans less
-        assert degree(B(4, 1, 1, 2)) == 2
-
-    def test_not_a_base(self):
-        with pytest.raises(ValueError):
-            degree(B(5, 2, 3))
-
-
-class TestKappa:
-    """kappa takes the first component of `join`, which refuses a degenerate
-    base."""
-
-    def test_seven_solids(self):
-        assert kappa(join(B(5, 3, 3, 3, 3, 3, 3, 3))[0]) == 5
-
-    def test_m_zero_forces_one(self):
-        base = B(6, 2, 3, 3, 4, 4)
-        assert base.dims[0] + base.dims[1] - base.ambient + 1 == 0
-        assert kappa(join(base)[0]) == 1
-
-    def test_five_planes(self):
-        assert kappa(join(B(4, 2, 2, 2, 2, 2))[0]) == 2
-
-    def test_inadmissible_pair(self):
-        with pytest.raises(ValueError):
-            kappa(join(B(6, 2, 2, 3, 4))[0])  # m = 2+2-6+1 < 0
-
-    def test_point_cannot_be_pushed(self):
-        with pytest.raises(ValueError, match=r"^P\^0 and P\^2 of n=4 dims=0,2,2 "):
-            kappa(join(B(4, 0, 2, 2))[0])
-
-
 class TestForcedJoinOracle:
     """`oracles.forced_join` on the pair (0, 1) is `join` and `kappa`, built
     without them."""
@@ -157,18 +111,6 @@ class TestForcedJoinOracle:
 
 
 class TestGenus:
-    @pytest.mark.parametrize("base,g", [
-        (B(3, 1, 1, 1), 0),
-        (B(4, 1, 2, 2, 2), 0),
-        (B(4, 2, 2, 2, 2, 2), 1),
-        (B(5, 2, 2, 2, 3), 0),
-        (B(5, 2, 3, 3, 3, 3, 3), 3),
-        (B(5, 3, 3, 3, 3, 3, 3, 3), 8),
-        (B(6, 2, 3, 3, 4, 4), 1),
-    ])
-    def test_values(self, base, g):
-        assert degeneration_tree(base).genus == g
-
     def test_adjunction_on_every_base(self):
         bases = [base for n in range(3, 14) for base in enumerate_bases(n)]
         # the sweep covers degenerate bases and bases with a point
@@ -197,11 +139,6 @@ class TestDegenerationTree:
         assert dot.base == B(6, 0, 3, 4, 4) and dot.children == ()
         assert kappa(dot.base) == 1
         assert ddot.base == B(5, 2, 2, 3, 3, 3)
-
-    def test_leaf_cases(self):
-        leaf = degeneration_tree(B(3, 0, 1))
-        assert leaf.children == ()
-        assert (leaf.degree, leaf.genus) == (1, 0)
 
     def test_node_table(self):
         table = node_table(degeneration_tree(B(4, 2, 2, 2, 2, 2)))
@@ -293,15 +230,6 @@ class TestDegenerationTree:
 
 class TestDirectrixDegree:
     """directrix_degree takes a dimension of the base, not a space index."""
-
-    def test_line_directrix(self):
-        assert directrix_degree(B(4, 1, 2, 2, 2), 1) == 1
-
-    def test_plane_quartic(self):
-        assert directrix_degree(B(5, 2, 3, 3, 3, 3, 3), 2) == 4
-
-    def test_solid_family(self):
-        assert directrix_degree(B(5, 3, 3, 3, 3, 3, 3, 3), 3) == 9
 
     def test_point_rejected(self):
         with pytest.raises(ValueError, match="^a point carries no directrix curve$"):
@@ -423,24 +351,6 @@ class TestSpeciality:
 
 
 class TestClassify:
-    def test_quadric(self):
-        report = classify(B(3, 1, 1, 1))
-        assert (report.degree, report.genus, report.h1) == (2, 0, 0)
-        assert not report.special
-        assert report.directrix == ((1, 1),)
-
-    def test_seven_solids(self):
-        report = classify(B(5, 3, 3, 3, 3, 3, 3, 3))
-        assert (report.degree, report.genus) == (14, 8)
-        assert report.h1 == 6 and report.special
-        assert report.directrix == ((3, 9),)
-
-    def test_table_row_p6(self):
-        report = classify(B(6, 2, 3, 3, 4, 4))
-        assert (report.degree, report.genus, report.h1) == (7, 1, 0)
-        assert report.span == 6
-        assert report.directrix == ((2, 3), (3, 4), (4, 5))
-
     def test_degenerate_base_spans_less(self):
         report = classify(B(6, 2, 2, 3, 4))
         assert report.span == 5
@@ -492,14 +402,6 @@ class TestClassify:
         # its json form is built by the command line that prints it
         assert not hasattr(report, "to_dict")
 
-    def test_speciality_consistency(self):
-        # h1 recomputed from span/degree/genus on every base through P^7
-        for n in range(3, 8):
-            for base in enumerate_bases(n):
-                report = classify(base)
-                assert report.h1 == report.span - report.degree + \
-                    2 * report.genus - 1
-                assert report.special == (report.h1 > 0)
 
 
 class TestRingConsistency:

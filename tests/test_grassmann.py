@@ -149,6 +149,27 @@ class TestProductOfSpecials:
         assert product_of_specials(4, iter([2] * 6)) == {(0, 1): 5}
 
 
+class TestIntersectionNumber:
+    def test_plane_family_directrix(self):
+        assert point_coefficient(4, [1, 2, 2, 2, 2]) == 3
+
+    def test_solid_family_seed(self):
+        assert point_coefficient(5, [2, 3, 3, 3, 3, 3, 3]) == 9
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_line_and_hyperplane_traces(self, n):
+        assert point_coefficient(n, [1] + [n - 2] * n) == n - 1
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_solid_trace(self, n):
+        hs = [2, n - 3] + [n - 2] * (n - 1)
+        assert point_coefficient(n, hs) == (n - 1) * (n - 2) // 2
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            point_coefficient(4, [2, 2])
+
+
 class TestKernelMemo:
     @settings(max_examples=200, deadline=None)
     @given(point_products(), st.data())
@@ -274,6 +295,10 @@ def catalan(k):
 
 
 class TestCatalanOracle:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_plucker_degree(self, n):
+        assert product_of_specials(n, [n - 2] * (2 * n - 2)) == {(0, 1): catalan(n - 1)}
+
     def test_kernel_plucker_degree(self):
         # P = (1 + t)^(2n-2): its central coefficient comes nearest the slot width
         for n in range(2, 81):

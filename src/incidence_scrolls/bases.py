@@ -22,8 +22,8 @@ class InvariantError(RuntimeError):
     Every base that a join or a restrict step produces, and every closed-form
     base, must impose exactly 2n-3 conditions; the ring degree must equal the
     degree of the degeneration witness, the witness genus must satisfy
-    adjunction, kappa must be positive, and a join with m = 0 must share
-    exactly one generator.
+    adjunction, kappa must be positive, a join with m = 0 must share
+    exactly one generator, and a closed form must agree with the engine.
     """
 
 

@@ -172,31 +172,25 @@ def cmd_table(args: argparse.Namespace) -> str:
     rows = []
     for table_row in closed_forms.table(args.id):
         record, printed = table_row.record, table_row.printed_directrix
-        report, base = classify(record.base), format_base(record.base)
-        engine_dir = dict(report.directrix).get(int(record.family[1]))  # pks fixes a P^k
-        engine = f"d={report.degree} g={report.genus} h1={report.h1} dir={engine_dir}"
-        if (report.degree, report.genus, engine_dir) != \
-                (record.degree, record.genus, record.directrix_degree):
-            raise InvariantError(
-                f"the {record.family} closed form gives d={record.degree} "
-                f"g={record.genus} dir={record.directrix_degree}, the engine "
-                f"{engine}, for {base}")
+        report = classify(record.base)
+        engine = closed_forms.check(record, report)
+        _, e = record.directrix
         problems = []
         if (report.degree, report.genus) != (table_row.printed_degree,
                                              table_row.printed_genus):
             problems.append(f"degree/genus ({report.degree},{report.genus})")
         if report.special != table_row.star:
             problems.append(f"star (h1={report.h1})")
-        if printed not in (None, engine_dir):
-            # the engine equals the closed form here: the printed value is the odd one
+        if printed not in (None, e):
+            # check compared e on these spanning bases: the printed value is the odd one
             problems.append(
-                f"directrix {engine_dir} vs printed {printed} (printed directrix "
+                f"directrix {e} vs printed {printed} (printed directrix "
                 f"degree {printed} disagrees with the closed form and the cycle "
-                f"product (both give {engine_dir}); suspected misprint)")
+                f"product (both give {e}); suspected misprint)")
         rows.append({
             "scroll": f"R^{table_row.printed_degree}_{table_row.printed_genus} "
                       f"in P^{record.base.ambient}",
-            "base": base,
+            "base": format_base(record.base),
             "degree": table_row.printed_degree,
             "genus": table_row.printed_genus,
             "directrix": "-" if printed is None else printed,

@@ -8,9 +8,9 @@ The families fix a line, a plane, or a 3-space in the base:
 * solid family:  {P^3, j P^(n-4), i P^(n-3), (n+1-3j-2i) P^(n-2)}
 
 These formulas are independent of the generic Schubert/degeneration engine
-and serve as its cross-validation oracle: `scrolls table` checks the degree,
-genus and directrix degree of every table row's record against the engine,
-so a printed value that disagrees with the engine is a suspected misprint.
+and serve as its cross-validation oracle: `check`, run by `scrolls table` and
+the tests, compares a record's degree, genus and (k, e) with the engine, so
+a printed value that disagrees with the engine is a suspected misprint.
 """
 
 from __future__ import annotations
@@ -18,15 +18,31 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .bases import _derived
+from .bases import InvariantError, _derived, format_base, is_nondegenerate
 
 
 ClosedFormRecord = namedtuple(
-    "ClosedFormRecord", "family base degree genus directrix_degree")
+    "ClosedFormRecord", "family base degree genus directrix")
 ClosedFormRecord.__doc__ = """Closed-form invariants of one family member.
 
-family is "p1s", "p2s" or "p3s"; the ambient is base.ambient, and the base
-is degenerate (its scroll spans less) when `is_nondegenerate(base)` fails."""
+family is "p1s", "p2s" or "p3s"; directrix is (k, e), e the degree of the
+directrix curve on the fixed P^k, as in ScrollReport.directrix.  The ambient
+is base.ambient; the base is degenerate when `is_nondegenerate(base)` fails."""
+
+
+def check(record: ClosedFormRecord, report) -> str:
+    """The engine's `d= g= h1= dir=` text of `report`, its ScrollReport on
+    record.base; raises InvariantError unless the degree and genus agree and,
+    on a nondegenerate base, e on P^k (restriction to the span cuts P^k down)."""
+    k, e = record.directrix
+    engine_dir = dict(report.directrix).get(k)
+    engine = f"d={report.degree} g={report.genus} h1={report.h1} dir={engine_dir}"
+    if (report.degree, report.genus) != (record.degree, record.genus) or \
+            is_nondegenerate(record.base) and engine_dir != e:
+        raise InvariantError(
+            f"the {record.family} closed form gives d={record.degree} g={record.genus} "
+            f"dir={e}, the engine {engine}, for {format_base(record.base)}")
+    return engine
 
 
 def p1s(n: int) -> ClosedFormRecord:
@@ -35,7 +51,7 @@ def p1s(n: int) -> ClosedFormRecord:
         raise ValueError(f"line family needs n >= 3, got {n}")
     base = _derived(n, (1,) + (n - 2,) * (n - 1), "p1s closed form")
     return ClosedFormRecord(
-        family="p1s", base=base, degree=n - 1, genus=0, directrix_degree=1)
+        family="p1s", base=base, degree=n - 1, genus=0, directrix=(1, 1))
 
 
 def p2s(n: int, i: int) -> ClosedFormRecord:
@@ -54,7 +70,7 @@ def p2s(n: int, i: int) -> ClosedFormRecord:
         family="p2s", base=base,
         degree=comb(n - i, 2) + i - 1,
         genus=comb(n - i - 2, 2),
-        directrix_degree=n - i - 1,
+        directrix=(2, n - i - 1),
     )
 
 
@@ -80,7 +96,7 @@ def p3s(n: int, j: int, i: int) -> ClosedFormRecord:
         family="p3s", base=base,
         degree=comb(q + 1, 3) - q + (i + j) * q + j - 1,
         genus=comb(q, 3) + comb(q - 1, 3) - 2 * q + (i + j) * (q - 2) + 4,
-        directrix_degree=comb(q, 2) + i + j - 1,
+        directrix=(3, comb(q, 2) + i + j - 1),
     )
 
 

@@ -19,7 +19,7 @@ from incidence_scrolls.bases import (
     restrict_to_span,
 )
 from incidence_scrolls.closed_forms import p2s, p3s
-from incidence_scrolls.invariants import classify, degeneration_tree, degree, kappa
+from incidence_scrolls.invariants import degeneration_tree, degree, kappa
 
 
 def B(ambient, *dims):
@@ -268,15 +268,6 @@ def solid_records(max_n):
         for j in range(0, (n + 1) // 3 + 1):
             for i in range(0, (n + 1 - 3 * j) // 2 + 1):
                 yield p3s(n, j, i)
-
-
-def assert_engine_agrees(record):
-    """Degree, genus and the fixed space's directrix degree match the engine."""
-    report = classify(record.base)
-    assert (report.degree, report.genus) == (record.degree, record.genus)
-    if is_nondegenerate(record.base):
-        fixed_dim = {"p1s": 1, "p2s": 2, "p3s": 3}[record.family]
-        assert dict(report.directrix)[fixed_dim] == record.directrix_degree
 
 
 def adjunction_genus(base):
